@@ -122,7 +122,21 @@ class BacktestLedger:
     method: str
 
 
-METHODS = ("knn", "msknn-poly", "msknn-logi", "lrlr-w1", "lrlr-winv", "buy", "random")
+# Each local method is a registry estimator with fixed parameters; its
+# k (k-NN) or k_vec (multiscale k-NN) is tuned, see _candidates.
+LOCAL_METHODS = {
+    "knn": ("knn", {}),
+    "msknn-poly": ("msknn-poly", {}),
+    "msknn-logi": ("msknn-logi", {"loss": "logit_squared"}),
+    "lrlr-w1": ("lrlr", {"weight": "constant_one"}),
+    "lrlr-winv": ("lrlr", {"weight": "inverse_r"}),
+}
+# Baselines that read no market data: hold the index, or flip a coin.
+_BASELINES = {
+    "buy": lambda rng: 1,
+    "random": lambda rng: int(rng.integers(0, 2)),
+}
+METHODS = (*LOCAL_METHODS, *_BASELINES)
 
 
 # ---------------------------------------------------------------------------
@@ -271,29 +285,19 @@ def _pool_profile(months, cache: _DistanceCache, pool: range, query_idx: int) ->
     return NeighborProfile(dists[order], labels[order], np.asarray(pool)[order])
 
 
-def _predict(profile: NeighborProfile, method: str, param, config: WalkForwardConfig) -> int:
-    if method == "knn":
-        return estimators.classify(estimators.knn(profile, int(param)))
-    if method in ("msknn-poly", "msknn-logi"):
-        kvec = msknn_kvec(config.msknn_k1, int(param), config.msknn_J)
-        if method == "msknn-poly":
-            est = estimators.msknn(profile, kvec, config.poly_degree, "poly", "squared")
-        else:
-            est = estimators.msknn(profile, kvec, config.poly_degree, "logi", "logit_squared")
-        return estimators.classify(est)
-    if method in ("lrlr-w1", "lrlr-winv"):
-        weight = estimators.ConstantOne() if method == "lrlr-w1" else estimators.InverseRadius()
-        est = estimators.lrr(profile, weight, config.poly_degree, loss="logistic")
-        return estimators.classify(est)
-    raise ParameterError(f"unknown method {method!r}")
-
-
-def _param_grid(method: str, config: WalkForwardConfig) -> tuple[int, ...] | None:
-    if method == "knn":
-        return config.knn_grid
-    if method in ("msknn-poly", "msknn-logi"):
-        return config.msknn_kmax_grid
-    return None
+def _candidates(method: estimators.Method, fixed: dict, config: WalkForwardConfig):
+    """(ledger value, resolved parameters) of each tuning candidate in grid
+    order; a method that tunes nothing has the single candidate value None."""
+    names = {p.name for p in method.params}
+    base = dict(fixed, q=config.poly_degree) if "q" in names else dict(fixed)
+    if "k" in names:
+        grid = [(k, {"k": k}) for k in config.knn_grid]
+    elif "k_vec" in names:
+        grid = [(kmax, {"k_vec": msknn_kvec(config.msknn_k1, kmax, config.msknn_J)})
+                for kmax in config.msknn_kmax_grid]
+    else:
+        grid = [(None, {})]
+    return [(value, method.resolve({**base, **tuned})) for value, tuned in grid]
 
 
 def walk_forward_predict(
@@ -336,8 +340,13 @@ def walk_forward_predict(
             f"have {start_idx}"
         )
 
+    entry = None
+    candidates = [(None, {})]
+    if method in LOCAL_METHODS:
+        kind, fixed = LOCAL_METHODS[method]
+        entry = estimators.get_method(kind)
+        candidates = _candidates(entry, fixed, config)
     cache = _DistanceCache()
-    grid = _param_grid(method, config)
     rng = np.random.default_rng(rng_seed)
     hook = phase_hook if phase_hook is not None else (lambda stage, t: None)
 
@@ -348,37 +357,33 @@ def walk_forward_predict(
     returns: list[float] = []
 
     for t in range(start_idx, end_idx + 1):
-        chosen: int | None = None
-        if grid is not None:
+        chosen, params = candidates[0]
+        if chosen is not None:
             hook("tune", t)
             tune_pool = range(t - config.n_train, t - config.validation_window)
             validation = range(t - config.validation_window, t)
-            profiles = [_pool_profile(labeled, cache, tune_pool, s) for s in validation]
-            v_labels = [labeled[s].label for s in validation]
+            batch = estimators.ProfileBatch.stack(
+                [_pool_profile(labeled, cache, tune_pool, s) for s in validation]
+            )
+            v_labels = np.array([labeled[s].label for s in validation])
             best_hits = -1
-            for candidate in grid:
-                hits = sum(
-                    _predict(prof, method, candidate, config) == lab
-                    for prof, lab in zip(profiles, v_labels)
-                )
+            for value, candidate in candidates:
+                preds = estimators.classify(entry.batch(batch, **candidate).values)
+                hits = int(np.count_nonzero(preds == v_labels))
                 if hits > best_hits:
-                    best_hits, chosen = hits, candidate
-            chosen_out.append(chosen)
-        else:
-            chosen_out.append(None)
+                    best_hits, chosen, params = hits, value, candidate
+        chosen_out.append(chosen)
 
         hook("query", t)
         cache.closes(labeled, t)
 
         hook("predict", t)
-        if method == "buy":
-            pred = 1
-        elif method == "random":
-            pred = int(rng.integers(0, 2))
+        if entry is None:
+            pred = _BASELINES[method](rng)
         else:
             final_pool = range(t - config.n_train, t)
-            prof = _pool_profile(labeled, cache, final_pool, t)
-            pred = _predict(prof, method, chosen, config)
+            batch = estimators.ProfileBatch.stack([_pool_profile(labeled, cache, final_pool, t)])
+            pred = int(estimators.classify(entry.batch(batch, **params).values)[0])
 
         hook("score", t)
         month = labeled[t]

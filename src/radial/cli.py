@@ -9,16 +9,31 @@ from __future__ import annotations
 
 import argparse
 import csv
+import re
 import sys
 
 import numpy as np
 
 from . import backtest, core, estimators, synthlab, theorylab
-from .errors import ConfigurationError, RadialError
+from .errors import ConfigurationError, ParameterError, RadialError
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report a usage error on one line and exit 2."""
+        self.exit(2, f"radial: error: {message}\n")
+
+
+def _month(text: str) -> tuple[int, int]:
+    """A YYYY-MM month, for argparse's ``type=``."""
+    match = re.fullmatch(r"([0-9]{4})-([0-9]{2})", text)
+    if match is None or not 1 <= int(match[2]) <= 12:
+        raise argparse.ArgumentTypeError(f"expected a month as YYYY-MM, got {text!r}")
+    return int(match[1]), int(match[2])
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radial",
         description="Local radial regression classifiers: benchmarks, theory checks, backtests.",
     )
@@ -52,8 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     back.add_argument("--input", required=True,
                       help="price CSV (date,close); 'builtin' uses the bundled fixture")
     back.add_argument("--method", required=True, choices=backtest.METHODS)
-    back.add_argument("--test-start", default=None, help="YYYY-MM")
-    back.add_argument("--test-end", default=None, help="YYYY-MM")
+    back.add_argument("--test-start", type=_month, default=None, help="YYYY-MM")
+    back.add_argument("--test-end", type=_month, default=None, help="YYYY-MM")
     back.add_argument("--train-months", type=int, default=192)
     back.add_argument("--validation-months", type=int, default=24)
     back.add_argument("--seed", type=int, default=0)
@@ -63,16 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--train", required=True,
                      help="CSV of rows x_1,...,x_d,y (ragged lengths allowed for dtw/idtw)")
     est.add_argument("--query", required=True, help="comma-separated query values")
-    est.add_argument("--method", required=True,
-                     choices=["ks", "knn", "lpor", "lpolr", "msknn-poly", "msknn-logi", "lrr", "lrlr"])
+    est.add_argument("--method", required=True, choices=list(estimators.METHODS))
     est.add_argument("--metric", default="euclidean", choices=sorted(core.METRICS))
-    est.add_argument("--params", default="", help="k=3,h=0.4,q=2,k_vec=10:20:30,weight=inverse_r")
+    est.add_argument("--params", default="", help="comma-separated key=value pairs; " + "; ".join(
+        f"{kind}: {method.usage()}" for kind, method in estimators.METHODS.items()))
     return parser
-
-
-def _parse_month(text: str):
-    year, month = text.split("-")
-    return int(year), int(month)
 
 
 def _parse_sizes(parser, text: str, minimum: int):
@@ -122,10 +132,11 @@ def _cmd_zeta(parser, args) -> int:
     sizes = _parse_sizes(parser, args.sizes, minimum=1)
     if args.reps < 2:
         parser.error("--reps must be >= 2")
+    # Computed first: it rejects a dimension below 1 before the sampler uses it.
+    constants = theorylab.uniform_ball_constants(args.d)
     rows = theorylab.zeta_concentration(args.d, args.r_tilde, sizes, args.reps, args.seed)
     if args.out:
         theorylab.write_zeta_csv(rows, args.out)
-    constants = theorylab.uniform_ball_constants(args.d)
     for row in rows:
         print(f"N={row.n_points:<8} zeta/N = {row.ratio_mean:.5f} +/- {row.ratio_sd:.5f}")
     print(f"limit {constants.rho_star:.5f}, guard threshold {constants.phi:.5f}")
@@ -147,13 +158,13 @@ def _cmd_backtest(parser, args) -> int:
         )
     default_start, default_end = (2005, 1), (2021, 10)
     if args.test_start:
-        start = _parse_month(args.test_start)
+        start = args.test_start
     elif default_start in ids and ids.index(default_start) >= config.n_train:
         start = default_start
     else:
         start = ids[config.n_train]
     if args.test_end:
-        end = _parse_month(args.test_end)
+        end = args.test_end
     elif default_end in ids and ids.index(default_end) >= ids.index(start):
         end = default_end
     else:
@@ -171,24 +182,23 @@ def _cmd_backtest(parser, args) -> int:
     return 0
 
 
-def _parse_params(parser, text: str) -> dict:
+def _parse_params(parser, method: estimators.Method, text: str) -> dict:
+    """``--params`` text checked against the method's declared parameters."""
     params: dict = {}
     for token in filter(None, (t.strip() for t in text.split(","))):
         if "=" not in token:
             parser.error(f"bad --params token {token!r}; expected key=value")
         key, value = token.split("=", 1)
-        if key == "k_vec":
-            params[key] = tuple(int(v) for v in value.split(":"))
-        elif key in ("k", "q"):
-            params[key] = int(value)
-        elif key in ("h",):
-            params[key] = float(value)
-        else:
-            params[key] = value
-    return params
+        params[key.strip()] = value.strip()
+    try:
+        return method.resolve(params)
+    except ParameterError as exc:
+        parser.error(str(exc))
 
 
 def _cmd_estimate(parser, args) -> int:
+    method = estimators.METHODS[args.method]
+    params = _parse_params(parser, method, args.params)
     rows: list[list[float]] = []
     with open(args.train, newline="") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
@@ -206,8 +216,7 @@ def _cmd_estimate(parser, args) -> int:
     query = core.as_covariate([float(v) for v in args.query.split(",")])
     metric = core.get_metric(args.metric)
     prof = core.profile(data, metric, query)
-    spec = estimators.EstimatorSpec(args.method, _parse_params(parser, args.params))
-    est = spec.apply(data, prof, query)
+    est = method.single(data, prof, query, **params)
     label = estimators.classify(est)
     note = " (degree reduced)" if est.diagnostics.fallback_applied else ""
     print(f"estimate={est.value:.4f} class={label} used_points={est.diagnostics.used_points}{note}")

@@ -46,50 +46,68 @@ class LabeledPoint:
 
 
 class Dataset:
-    """Immutable ordered collection of labeled points.
+    """Immutable ordered collection of labeled points, stored as arrays.
 
-    Covariate lengths may differ (variable-length series); :attr:`dim`
-    is the common length when one exists and ``None`` otherwise.
+    ``covariates`` is an (n, d) array when every covariate has length d and
+    a tuple of 1-d arrays otherwise (variable-length series); :attr:`dim` is
+    d in the first case and ``None`` in the second. ``labels`` is an int64
+    array. Iterating yields one :class:`LabeledPoint` per row.
     """
 
-    __slots__ = ("points", "_dim")
+    __slots__ = ("covariates", "labels")
 
     def __init__(self, points: Iterable[LabeledPoint]):
         pts = tuple(points)
-        if not pts:
+        self._store([p.x for p in pts], [p.y for p in pts])
+
+    def _store(self, xs, y) -> None:
+        """Keep validated covariates ``xs`` (a 2-d array or a list of 1-d
+        arrays) with labels ``y``, which must be 0 or 1 after truncation."""
+        if len(xs) == 0:
             raise DomainError("dataset must be nonempty")
-        lengths = {p.x.shape[0] for p in pts}
-        self.points = pts
-        self._dim = lengths.pop() if len(lengths) == 1 else None
+        labels = np.asarray(y).astype(np.int64)
+        if np.any((labels != 0) & (labels != 1)):
+            raise DomainError("labels must be 0 or 1")
+        if isinstance(xs, list):
+            xs = np.stack(xs) if len({x.shape[0] for x in xs}) == 1 else tuple(xs)
+        if isinstance(xs, np.ndarray):
+            xs.setflags(write=False)
+        labels.setflags(write=False)
+        self.covariates = xs
+        self.labels = labels
 
     @classmethod
     def from_arrays(cls, X, y) -> "Dataset":
-        X = np.asarray(X, dtype=np.float64)
+        X = np.array(X, dtype=np.float64)
         y = np.asarray(y)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise DimensionMismatch("X must be (n, d) with one label per row")
-        return cls(LabeledPoint(row, int(lab)) for row, lab in zip(X, y))
+        if X.shape[1] < 1:
+            raise DomainError("a covariate must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(X)):
+            raise DomainError("covariate entries must be finite")
+        data = cls.__new__(cls)
+        data._store(X, y)
+        return data
 
     @classmethod
     def from_sequences(cls, xs: Sequence, y) -> "Dataset":
         y = np.asarray(y)
         if len(xs) != y.shape[0]:
             raise DimensionMismatch("one label per covariate required")
-        return cls(LabeledPoint(x, int(lab)) for x, lab in zip(xs, y))
+        data = cls.__new__(cls)
+        data._store([as_covariate(x) for x in xs], y)
+        return data
 
     @property
     def dim(self) -> int | None:
-        return self._dim
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([p.y for p in self.points], dtype=np.int64)
+        return self.covariates.shape[1] if isinstance(self.covariates, np.ndarray) else None
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.labels.shape[0]
 
     def __iter__(self):
-        return iter(self.points)
+        return (LabeledPoint(x, int(y)) for x, y in zip(self.covariates, self.labels))
 
 
 @dataclass(frozen=True)
@@ -180,10 +198,9 @@ def profile(data: Dataset, metric: Metric, query) -> NeighborProfile:
     if metric is euclidean and data.dim is not None:
         if data.dim != q.shape[0]:
             raise DimensionMismatch(f"query has length {q.shape[0]}, data has dimension {data.dim}")
-        X = np.stack([p.x for p in data.points])
-        dists = np.linalg.norm(X - q[None, :], axis=1)
+        dists = np.linalg.norm(data.covariates - q[None, :], axis=1)
     else:
-        dists = np.array([metric(q, p.x) for p in data.points], dtype=np.float64)
+        dists = np.array([metric(q, x) for x in data.covariates], dtype=np.float64)
     order = np.argsort(dists, kind="stable")
     return NeighborProfile(
         radii=dists[order],

@@ -1,9 +1,9 @@
 """Synthetic benchmark: bimodal ground truth, trial generation, and the
 concordance evaluation of all estimators at their benchmark settings.
 
-The per-trial evaluation is vectorized across the test queries (one batched
-fit per method per trial) using the same solvers as the per-query
-estimators; a consistency test pins the two routes together.
+The per-trial evaluation runs each registry method's batched kernel over
+all test queries at once (one fit per method per trial); the per-query
+estimators run the same kernels on batches of one.
 """
 
 from __future__ import annotations
@@ -18,10 +18,14 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import expit
 
+from . import estimators, localfit
 from ._parallel import indexed_map
 from .core import Dataset
 from .errors import DimensionMismatch, EmptyWindowError, ParameterError
-from .localfit import MultivariatePoly, RadialPoly, fit_logistic, solve_wls
+
+# Not called here (the kernels call localfit's solvers); the benchmark's
+# tracer wraps the bindings radial.synthlab.fit_logistic and .solve_wls.
+from .localfit import fit_logistic, solve_wls  # noqa: F401
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -148,7 +152,7 @@ def default_method_suite() -> tuple[BenchMethod, ...]:
     ]
     methods += [BenchMethod(f"knn_k{k}", "knn", {"k": k}) for k in (10, 20, 30, 40, 50)]
     methods += [
-        BenchMethod("msknn_logi", "msknn_logi", {"k_vec": (10, 20, 30, 40, 50), "q": 2}),
+        BenchMethod("msknn_logi", "msknn-logi", {"k_vec": (10, 20, 30, 40, 50), "q": 2}),
         BenchMethod("lpor_h0.4", "lpor", {"h": 0.4, "q": 2}),
         BenchMethod("lpolr_h0.4", "lpolr", {"h": 0.4, "q": 2}),
         BenchMethod("lrlr_w1", "lrlr", {"weight": "constant_one", "q": 2}),
@@ -157,33 +161,22 @@ def default_method_suite() -> tuple[BenchMethod, ...]:
     return tuple(methods)
 
 
-def _local_poly_estimates(arrays: TrialArrays, order, R, L, h, q, logistic):
-    """Batched local polynomial fits, grouped by effective degree."""
-    m = arrays.test_x.shape[0]
-    counts = (R <= h).sum(axis=1)
-    if np.any(counts == 0):
-        raise EmptyWindowError(f"a query window of bandwidth {h} is empty")
-    d = arrays.train_x.shape[1]
+def _random(arrays: TrialArrays, rng: np.random.Generator) -> np.ndarray:
+    return rng.integers(0, 2, arrays.test_x.shape[0]).astype(np.float64)
 
-    est = np.empty(m)
-    degrees = np.zeros(m, dtype=np.int64)
-    for q_eff in range(1, q + 1):
-        degrees[counts >= MultivariatePoly(q_eff, d).output_dim] = q_eff
-    for q_eff in np.unique(degrees):
-        group = np.flatnonzero(degrees == q_eff)
-        width = int(counts[group].max())
-        nbr = order[group][:, :width]
-        Z = arrays.train_x[nbr] - arrays.test_x[group][:, None, :]
-        feats = MultivariatePoly(int(q_eff), d).expand(Z)
-        targets = L[group][:, :width]
-        weights = (np.arange(width)[None, :] < counts[group][:, None]).astype(np.float64)
-        if logistic:
-            theta, _, _ = fit_logistic(feats, targets, weights)
-            est[group] = expit(theta[:, 0])
-        else:
-            theta, _ = solve_wls(feats, targets, weights)
-            est[group] = theta[:, 0]
-    return est
+
+def _global_logistic(arrays: TrialArrays, rng: np.random.Generator) -> np.ndarray:
+    theta, _, _ = localfit.fit_logistic(
+        _additive_quadratic(arrays.train_x),
+        arrays.train_y.astype(np.float64),
+        np.ones(arrays.train_x.shape[0]),
+    )
+    return expit(_additive_quadratic(arrays.test_x) @ theta)
+
+
+# The two baselines that are not local estimators; every other kind is a
+# method of the estimator registry.
+_BASELINES = {"random": _random, "logistic": _global_logistic}
 
 
 def trial_estimates(
@@ -201,64 +194,38 @@ def trial_estimates(
         methods = default_method_suite()
     arrays = _draw_trial(config, rng)
 
-    kinds = {m.kind for m in methods}
-    D = order = R = L = csum = None
-    if kinds - {"random", "logistic"}:
+    sorted_batch = unsorted_batch = None
+    if any(m.kind not in _BASELINES for m in methods):
         D = cdist(arrays.test_x, arrays.train_x)
         order = np.argsort(D, axis=1, kind="stable")
-        R = np.take_along_axis(D, order, axis=1)
-        L = arrays.train_y[order].astype(np.float64)
-        csum = L.cumsum(axis=1)
+        sorted_batch = estimators.ProfileBatch(
+            np.take_along_axis(D, order, axis=1),
+            arrays.train_y[order].astype(np.float64),
+            order,
+            covariates=arrays.train_x,
+            queries=arrays.test_x,
+        )
+        # Methods that read every point take the distances unsorted, so the
+        # sums in their fits run in training-set order; the benchmark CSVs
+        # depend on that order down to the last bit.
+        unsorted_batch = estimators.ProfileBatch(
+            D, np.broadcast_to(arrays.train_y.astype(np.float64), D.shape)
+        )
 
     estimates: dict[str, np.ndarray] = {}
     for method in methods:
+        baseline = _BASELINES.get(method.kind)
+        if baseline is not None:
+            estimates[method.name] = baseline(arrays, rng)
+            continue
+        entry = estimators.get_method(method.kind)
+        batch = unsorted_batch if entry.any_order else sorted_batch
         try:
-            estimates[method.name] = _method_estimates(method, arrays, rng, D, order, R, L, csum)
+            estimates[method.name] = entry.batch(batch, **entry.resolve(method.params)).values
         except EmptyWindowError as exc:
             warnings.warn(f"method {method.name} skipped for this trial: {exc}")
             estimates[method.name] = np.full(arrays.test_x.shape[0], np.nan)
     return arrays, estimates
-
-
-def _method_estimates(method, arrays, rng, D, order, R, L, csum) -> np.ndarray:
-    p = method.params
-    if method.kind == "random":
-        return rng.integers(0, 2, arrays.test_x.shape[0]).astype(np.float64)
-    if method.kind == "logistic":
-        theta, _, _ = fit_logistic(
-            _additive_quadratic(arrays.train_x),
-            arrays.train_y.astype(np.float64),
-            np.ones(arrays.train_x.shape[0]),
-        )
-        return expit(_additive_quadratic(arrays.test_x) @ theta)
-    if method.kind == "knn":
-        k = int(p["k"])
-        if not 1 <= k <= csum.shape[1]:
-            raise ParameterError(f"k must be in [1, {csum.shape[1]}], got {k}")
-        return csum[:, k - 1] / k
-    if method.kind == "msknn_logi":
-        ks = np.asarray(p["k_vec"], dtype=np.int64)
-        eta_hat = csum[:, ks - 1] / ks
-        feats = RadialPoly(int(p.get("q", 2))).expand(R[:, ks - 1])
-        theta, _, _ = fit_logistic(feats, eta_hat, np.ones_like(eta_hat))
-        return expit(theta[:, 0])
-    if method.kind in ("lpor", "lpolr"):
-        return _local_poly_estimates(
-            arrays, order, R, L, p["h"], int(p.get("q", 2)), method.kind == "lpolr"
-        )
-    if method.kind == "lrlr":
-        # Row order is immaterial to the fit, so the unsorted distance
-        # matrix is used directly with the labels broadcast per query.
-        feats = RadialPoly(int(p.get("q", 2))).expand(D)
-        if p.get("weight", "constant_one") == "inverse_r":
-            eps = 1e-12 * D.max(axis=1, keepdims=True)
-            weights = 1.0 / np.maximum(D, eps)
-        else:
-            weights = np.ones_like(D)
-        targets = np.broadcast_to(arrays.train_y.astype(np.float64), D.shape)
-        theta, _, _ = fit_logistic(feats, targets, weights)
-        return expit(theta[:, 0])
-    raise ParameterError(f"unknown benchmark method kind {method.kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radial import backtest as bt
+from radial import estimators
 from radial.cli import main
 
 
@@ -232,3 +238,63 @@ def test_predictions_dump(tmp_path, capsys):
     assert header[0] == "eta_true"
     assert "lrlr_w1" in header
     assert len(preds.read_text().strip().splitlines()) == 501
+
+
+@pytest.fixture(scope="module")
+def train_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "train.csv"
+    path.write_text("0.0,0.1,1\n0.1,0.0,0\n0.0,0.0,1\n0.3,0.2,0\n")
+    return str(path)
+
+
+def exit_status(argv):
+    """(exit code, stderr) of main(argv); argparse exits by SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+ESTIMATE = ["estimate", "--query", "0,0", "--train"]
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    (["--method", "ks"], 2, "requires parameter h"),
+    (["--method", "knn", "--params", "k=abc"], 2, "must be an integer"),
+    (["--method", "msknn-poly", "--params", "k_vec=1:x"], 2, "integers separated by ':'"),
+    (["--method", "lrr", "--params", "weight=boxcar"], 2, "constant_one, inverse_r"),
+    (["backtest", "--input", "builtin", "--method", "buy", "--test-start", "2007"], 2, "YYYY-MM"),
+    (["zeta", "--d", "0", "--reps", "2"], 1, "dimension must be >= 1"),
+], ids=["ks-without-h", "k-not-int", "k_vec-not-int", "unknown-weight", "bad-month", "zeta-d0"])
+def test_bad_input_exits_with_one_line(train_csv, argv, code, needle):
+    if argv[0] == "--method":
+        argv = ESTIMATE + [train_csv] + argv
+    got, err = exit_status(argv)
+    assert got == code
+    assert len(err.splitlines()) == 1 and "error: " in err and needle in err
+
+
+_PARAM_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.lists(
+        st.tuples(st.sampled_from(["h", "k", "q", "k_vec", "weight", "loss", "x", ""]),
+                  st.text(alphabet="0123456789:.-+eEinfa_xr ", max_size=12)),
+        max_size=4,
+    ).map(lambda pairs: ",".join(f"{k}={v}" for k, v in pairs)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(method=st.sampled_from(list(estimators.METHODS)), params=_PARAM_TEXT, month=st.text(max_size=12))
+def test_parse_time_inputs_never_escape_main(train_csv, method, params, month):
+    # Only SystemExit or a return code may come out of main(); the backtest
+    # input is missing, so a month that parses ends in a one-line error.
+    for argv in (ESTIMATE + [train_csv, "--method", method, f"--params={params}"],
+                 ["backtest", "--input", train_csv + ".missing", "--method", "buy",
+                  f"--test-start={month}", f"--test-end={month}"]):
+        code, err = exit_status(argv)
+        assert code in (0, 1, 2)
+        assert code == 0 or len(err.splitlines()) == 1

@@ -150,40 +150,84 @@ class TestBenchmark:
 
 
 class TestBatchedMatchesPerQuery:
-    """The vectorized benchmark path must agree with the per-query estimators."""
+    """Each registry method's batched kernel, run over all test queries as
+    the benchmark runs it, must agree with the same registry method applied
+    to one query at a time. Equality is bitwise for ks, knn and msknn, whose
+    sums come in the same order; the other methods keep their tolerances."""
+
+    EXTRA = (
+        sl.BenchMethod("ks_h0.4", "ks", {"h": 0.4}),
+        sl.BenchMethod("msknn_poly", "msknn-poly", {"k_vec": (10, 20, 30, 40, 50), "q": 2}),
+        sl.BenchMethod("lrr_winv", "lrr", {"weight": "inverse_r", "q": 2}),
+    )
 
     def setup_method(self):
         cfg = sl.SyntheticConfig(n_train=70, n_test=15, reps=1, rng_seed=11)
         rng = np.random.default_rng(23)
-        self.arrays, self.estimates = sl.trial_estimates(cfg, rng)
+        suite = sl.default_method_suite() + self.EXTRA
+        self.arrays, self.estimates = sl.trial_estimates(cfg, rng, suite)
+        self.methods = {m.name: m for m in suite}
         self.data = core.Dataset.from_arrays(self.arrays.train_x, self.arrays.train_y)
         self.profiles = [
             core.profile(self.data, core.euclidean, q) for q in self.arrays.test_x
         ]
 
+    def check(self, name, atol=0.0):
+        method = self.methods[name]
+        spec = estimators.EstimatorSpec(method.kind, method.params)
+        batched = self.estimates[name]
+        for i, prof in enumerate(self.profiles):
+            single = spec.apply(self.data, prof, self.arrays.test_x[i]).value
+            if atol:
+                assert_allclose(batched[i], single, atol=atol)
+            else:
+                assert batched[i] == single
+
+    def test_ks(self):
+        self.check("ks_h0.4")
+
     def test_knn(self):
         for k in (10, 30, 50):
-            batched = self.estimates[f"knn_k{k}"]
-            for i, prof in enumerate(self.profiles):
-                assert batched[i] == estimators.knn(prof, k).value
+            self.check(f"knn_k{k}")
+
+    def test_msknn_poly(self):
+        self.check("msknn_poly")
 
     def test_msknn_logistic(self):
-        batched = self.estimates["msknn_logi"]
-        for i, prof in enumerate(self.profiles):
-            single = estimators.msknn(prof, (10, 20, 30, 40, 50), 2, "logi", "logistic")
-            assert_allclose(batched[i], single.value, atol=1e-6)
+        self.check("msknn_logi")
 
     def test_local_poly(self):
-        for name, fn in (("lpor_h0.4", estimators.lpor), ("lpolr_h0.4", estimators.lpolr)):
-            batched = self.estimates[name]
-            for i, prof in enumerate(self.profiles):
-                single = fn(self.data, prof, self.arrays.test_x[i], 0.4, 2)
-                assert_allclose(batched[i], single.value, atol=1e-5)
+        for name in ("lpor_h0.4", "lpolr_h0.4"):
+            self.check(name, atol=1e-5)
+
+    def test_lrr(self):
+        self.check("lrr_winv", atol=1e-5)
 
     def test_lrlr(self):
-        for name, weight in (("lrlr_w1", estimators.ConstantOne()),
-                             ("lrlr_winv", estimators.InverseRadius())):
-            batched = self.estimates[name]
-            for i, prof in enumerate(self.profiles):
-                single = estimators.lrr(prof, weight, 2, "logistic", estimators.AllPoints())
-                assert_allclose(batched[i], single.value, atol=1e-5)
+        for name in ("lrlr_w1", "lrlr_winv"):
+            self.check(name, atol=1e-5)
+
+    def test_padded_rows(self):
+        # Profiles over growing prefixes of the training set have different
+        # lengths, so the stacked batch pads every row but the longest.
+        sizes = (52, 60, 70, 55)
+        queries = self.arrays.test_x[: len(sizes)]
+        subsets = [
+            core.Dataset.from_arrays(self.arrays.train_x[:n], self.arrays.train_y[:n]) for n in sizes
+        ]
+        profiles = [core.profile(d, core.euclidean, q) for d, q in zip(subsets, queries)]
+        batch = estimators.ProfileBatch.stack(profiles, self.arrays.train_x, queries)
+        assert batch.valid is not None and not batch.valid.all()
+        for name, atol in (("ks_h0.4", 0.0), ("knn_k50", 0.0), ("msknn_poly", 0.0),
+                           ("msknn_logi", 0.0), ("lpor_h0.4", 1e-5), ("lpolr_h0.4", 1e-5),
+                           ("lrr_winv", 1e-5), ("lrlr_w1", 1e-5)):
+            method = self.methods[name]
+            entry = estimators.METHODS[method.kind]
+            params = entry.resolve(method.params)
+            batched = entry.batch(batch, **params).values
+            for i, (data, prof) in enumerate(zip(subsets, profiles)):
+                single = entry.single(data, prof, queries[i], **params).value
+                if atol:
+                    assert_allclose(batched[i], single, atol=atol, err_msg=name)
+                else:
+                    assert batched[i] == single, name
