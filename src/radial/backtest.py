@@ -22,7 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import estimators
-from .core import NeighborProfile, idtw
+# idtw stays importable here: bench/radbench/layers.py traces the
+# radial.backtest.idtw binding.
+from .core import idtw, idtw_pairs  # noqa: F401
 from .errors import ConfigurationError, DomainError, ParameterError, ParseError
 
 MonthId = tuple[int, int]
@@ -145,32 +147,39 @@ METHODS = (*LOCAL_METHODS, *_BASELINES)
 
 
 def ingest_csv(path) -> PriceSeries:
-    """Read (ISO-8601 date, close) rows; the header row is optional.
+    """Read (ISO-8601 date, close) rows of UTF-8 text; the header row is
+    optional and a leading byte-order mark is ignored.
 
     Rows are sorted by date (with a warning when the input was unsorted);
     duplicate dates and nonpositive closes are rejected.
     """
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            records = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise ParseError("input is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from None
     rows: list[tuple[dt.date, float]] = []
-    with open(path, newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
+    for lineno, record in enumerate(records, start=1):
+        if not record or (len(record) == 1 and not record[0].strip()):
+            continue
+        if len(record) != 2:
+            raise ParseError(f"expected 2 columns, got {len(record)}", line=lineno)
+        date_text, close_text = (f.strip() for f in record)
+        try:
+            date = dt.date.fromisoformat(date_text)
+        except ValueError:
+            if lineno == 1:  # header
                 continue
-            if len(record) != 2:
-                raise ParseError(f"expected 2 columns, got {len(record)}", line=lineno)
-            date_text, close_text = (f.strip() for f in record)
-            try:
-                date = dt.date.fromisoformat(date_text)
-            except ValueError:
-                if lineno == 1:  # header
-                    continue
-                raise ParseError(f"bad date {date_text!r}", line=lineno) from None
-            try:
-                close = float(close_text)
-            except ValueError:
-                raise ParseError(f"bad close {close_text!r}", line=lineno) from None
-            if not math.isfinite(close) or close <= 0:
-                raise ParseError(f"nonpositive close {close_text!r}", line=lineno)
-            rows.append((date, close))
+            raise ParseError(f"bad date {date_text!r}", line=lineno) from None
+        try:
+            close = float(close_text)
+        except ValueError:
+            raise ParseError(f"bad close {close_text!r}", line=lineno) from None
+        if not math.isfinite(close) or close <= 0:
+            raise ParseError(f"nonpositive close {close_text!r}", line=lineno)
+        rows.append((date, close))
     if not rows:
         raise ParseError("no data rows")
     dates = [r[0] for r in rows]
@@ -255,34 +264,45 @@ def accuracy_report(ledger: BacktestLedger) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _DistanceCache:
-    """Memo of pairwise rescaled-warping distances keyed by month index."""
+class _WalkDistances:
+    """Rescaled-warping distances between the months of one walk.
 
-    def __init__(self):
-        self._closes: dict[int, np.ndarray] = {}
-        self._dist: dict[tuple[int, int], float] = {}
+    ``dist`` is a symmetric matrix over every labeled month, NaN until the
+    pair is first needed; a month's closes and label are read from the
+    history on first use.
+    """
 
-    def closes(self, months, i: int) -> np.ndarray:
-        arr = self._closes.get(i)
-        if arr is None:
-            arr = months[i].block.closes
-            self._closes[i] = arr
-        return arr
+    def __init__(self, months):
+        self.months = months
+        self.dist = np.full((len(months), len(months)), np.nan)
+        self.closes: list[np.ndarray | None] = [None] * len(months)
+        self.labels = np.zeros(len(months))
 
-    def distance(self, months, i: int, j: int) -> float:
-        key = (i, j) if i <= j else (j, i)
-        d = self._dist.get(key)
-        if d is None:
-            d = idtw(self.closes(months, i), self.closes(months, j))
-            self._dist[key] = d
-        return d
+    def read(self, i: int) -> None:
+        if self.closes[i] is None:
+            month = self.months[i]
+            self.closes[i], self.labels[i] = month.block.closes, month.label
 
+    def batch(self, queries: range, pool: range) -> estimators.ProfileBatch:
+        """The profiles of months ``queries`` over the months ``pool``.
 
-def _pool_profile(months, cache: _DistanceCache, pool: range, query_idx: int) -> NeighborProfile:
-    dists = np.array([cache.distance(months, query_idx, j) for j in pool])
-    labels = np.array([months[j].label for j in pool], dtype=np.int64)
-    order = np.argsort(dists, kind="stable")
-    return NeighborProfile(dists[order], labels[order], np.asarray(pool)[order])
+        The missing distances are computed in one kernel call; each row is
+        then sorted stably, so ties go to the earlier month.
+        """
+        for i in (*queries, *pool):
+            self.read(i)
+        block = self.dist[queries.start:queries.stop, pool.start:pool.stop]
+        rows, cols = np.nonzero(np.isnan(block))
+        if rows.size:
+            rows, cols = rows + queries.start, cols + pool.start
+            values = idtw_pairs([self.closes[i] for i in rows], [self.closes[j] for j in cols])
+            self.dist[rows, cols] = self.dist[cols, rows] = values
+        order = np.argsort(block, axis=1, kind="stable")
+        return estimators.ProfileBatch(
+            radii=np.take_along_axis(block, order, axis=1),
+            labels=self.labels[pool.start:pool.stop][order],
+            index=order + pool.start,
+        )
 
 
 def _candidates(method: estimators.Method, fixed: dict, config: WalkForwardConfig):
@@ -346,7 +366,7 @@ def walk_forward_predict(
         kind, fixed = LOCAL_METHODS[method]
         entry = estimators.get_method(kind)
         candidates = _candidates(entry, fixed, config)
-    cache = _DistanceCache()
+    walk = _WalkDistances(labeled)
     rng = np.random.default_rng(rng_seed)
     hook = phase_hook if phase_hook is not None else (lambda stage, t: None)
 
@@ -360,12 +380,9 @@ def walk_forward_predict(
         chosen, params = candidates[0]
         if chosen is not None:
             hook("tune", t)
-            tune_pool = range(t - config.n_train, t - config.validation_window)
             validation = range(t - config.validation_window, t)
-            batch = estimators.ProfileBatch.stack(
-                [_pool_profile(labeled, cache, tune_pool, s) for s in validation]
-            )
-            v_labels = np.array([labeled[s].label for s in validation])
+            batch = walk.batch(validation, range(t - config.n_train, validation.start))
+            v_labels = walk.labels[validation.start:t]
             best_hits = -1
             for value, candidate in candidates:
                 preds = estimators.classify(entry.batch(batch, **candidate).values)
@@ -375,14 +392,13 @@ def walk_forward_predict(
         chosen_out.append(chosen)
 
         hook("query", t)
-        cache.closes(labeled, t)
+        walk.read(t)
 
         hook("predict", t)
         if entry is None:
             pred = _BASELINES[method](rng)
         else:
-            final_pool = range(t - config.n_train, t)
-            batch = estimators.ProfileBatch.stack([_pool_profile(labeled, cache, final_pool, t)])
+            batch = walk.batch(range(t, t + 1), range(t - config.n_train, t))
             pred = int(estimators.classify(entry.batch(batch, **params).values)[0])
 
         hook("score", t)

@@ -211,7 +211,7 @@ def _cmd_estimate(parser, args) -> int:
     if not rows:
         raise RadialError("empty training file")
     xs = [row[:-1] for row in rows]
-    ys = [int(row[-1]) for row in rows]
+    ys = [row[-1] for row in rows]
     data = core.Dataset.from_sequences(xs, ys)
     query = core.as_covariate([float(v) for v in args.query.split(",")])
     metric = core.get_metric(args.metric)

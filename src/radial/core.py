@@ -62,12 +62,13 @@ class Dataset:
 
     def _store(self, xs, y) -> None:
         """Keep validated covariates ``xs`` (a 2-d array or a list of 1-d
-        arrays) with labels ``y``, which must be 0 or 1 after truncation."""
+        arrays) with labels ``y``, each of which must equal 0 or 1."""
         if len(xs) == 0:
             raise DomainError("dataset must be nonempty")
-        labels = np.asarray(y).astype(np.int64)
-        if np.any((labels != 0) & (labels != 1)):
+        y = np.asarray(y)
+        if np.any((y != 0) & (y != 1)):
             raise DomainError("labels must be 0 or 1")
+        labels = y.astype(np.int64)
         if isinstance(xs, list):
             xs = np.stack(xs) if len({x.shape[0] for x in xs}) == 1 else tuple(xs)
         if isinstance(xs, np.ndarray):
@@ -149,6 +150,14 @@ def euclidean(a, b) -> float:
     return float(np.linalg.norm(a - b))
 
 
+def _series_pair(a, b, name: str) -> tuple[np.ndarray, np.ndarray]:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1 or a.shape[0] == 0 or b.shape[0] == 0:
+        raise DomainError(f"{name} requires two nonempty 1-d sequences")
+    return a, b
+
+
 def dtw(a, b) -> float:
     """Time-warping distance: l2 norm of the best-aligned expanded vectors.
 
@@ -156,22 +165,35 @@ def dtw(a, b) -> float:
     three-way step pattern and no window; a single square root is applied
     at the end, so equal-length inputs satisfy ``dtw(a, b) <= euclidean(a, b)``.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.shape[0] == 0 or b.shape[0] == 0:
-        raise DomainError("dtw requires two nonempty 1-d sequences")
-    return math.sqrt(warp_sqcost(a, b))
+    a, b = _series_pair(a, b, "dtw")
+    return float(dtw_pairs([a], [b])[0])
 
 
 def idtw(a, b) -> float:
     """Time-warping distance after rescaling each series by its first element."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1 or a.shape[0] == 0 or b.shape[0] == 0:
-        raise DomainError("idtw requires two nonempty 1-d sequences")
-    if a[0] == 0.0 or b[0] == 0.0:
-        raise DomainError("idtw is undefined when a first element is zero")
-    return dtw(a / a[0], b / b[0])
+    a, b = _series_pair(a, b, "idtw")
+    return float(idtw_pairs([a], [b])[0])
+
+
+def dtw_pairs(A: Sequence[np.ndarray], B: Sequence[np.ndarray]) -> np.ndarray:
+    """``dtw(A[p], B[p])`` for every p, in one batched kernel call.
+
+    The series must be nonempty 1-d float64 arrays; the values are bitwise
+    equal to the one-pair calls.
+    """
+    return np.sqrt(warp_sqcost(A, B))
+
+
+def idtw_pairs(A: Sequence[np.ndarray], B: Sequence[np.ndarray]) -> np.ndarray:
+    """``idtw(A[p], B[p])`` for every p, in one batched kernel call."""
+    # Each distinct series is rescaled once: a profile or a backtest month
+    # pairs one series with many others.
+    scaled = {id(s): s for s in (*A, *B)}
+    for key, s in scaled.items():
+        if s[0] == 0.0:
+            raise DomainError("idtw is undefined when a first element is zero")
+        scaled[key] = s / s[0]
+    return dtw_pairs([scaled[id(a)] for a in A], [scaled[id(b)] for b in B])
 
 
 METRICS: dict[str, Metric] = {
@@ -191,14 +213,19 @@ def get_metric(name: str) -> Metric:
 def profile(data: Dataset, metric: Metric, query) -> NeighborProfile:
     """Order a dataset by distance from ``query`` under ``metric``.
 
-    Ties in distance are broken by ascending original index (stable sort),
-    so the result is deterministic.
+    Euclidean distances on a fixed-dimension dataset, and ``dtw``/``idtw``
+    on any dataset, are computed for all rows at once; any other metric is
+    called once per row. Ties in distance are broken by ascending original
+    index (stable sort), so the result is deterministic.
     """
     q = as_covariate(query)
     if metric is euclidean and data.dim is not None:
         if data.dim != q.shape[0]:
             raise DimensionMismatch(f"query has length {q.shape[0]}, data has dimension {data.dim}")
         dists = np.linalg.norm(data.covariates - q[None, :], axis=1)
+    elif metric is dtw or metric is idtw:
+        pairs = dtw_pairs if metric is dtw else idtw_pairs
+        dists = pairs([q] * len(data), list(data.covariates))
     else:
         dists = np.array([metric(q, x) for x in data.covariates], dtype=np.float64)
     order = np.argsort(dists, kind="stable")

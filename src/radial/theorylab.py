@@ -206,6 +206,8 @@ def uniform_ball_constants(d: int) -> UniformBallConstants:
 
 def sample_ball_radii(rng: np.random.Generator, n: int, d: int, r_tilde: float) -> np.ndarray:
     """Radii of uniform draws from the d-ball of radius ``r_tilde``."""
+    if d < 1:
+        raise ParameterError("dimension must be >= 1")
     return r_tilde * rng.random(n) ** (1.0 / d)
 
 

@@ -1,10 +1,16 @@
 import datetime as dt
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from radial import backtest as bt
+from radial import core
 from radial.errors import ConfigurationError, DomainError, ParameterError, ParseError
 
 
@@ -96,6 +102,37 @@ class TestIngest:
         with pytest.raises(ParseError) as err:
             bt.ingest_csv(path)
         assert err.value.line == 2
+
+    def test_byte_order_mark_keeps_first_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"\xef\xbb\xbf2020-01-01,1\n2020-01-02,2\n")
+        assert len(bt.ingest_csv(path)) == 2
+
+    def test_non_utf8_bytes_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"2020-01-01,1\n2020-01-02,\xff2\n")
+        with pytest.raises(ParseError):
+            bt.ingest_csv(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.sampled_from(["2020-01-02", "2020-01-03", "date", "100.5", "-1", "nan",
+                                  ",", "\n", "\r\n", '"', "\ufeff", "\x00", "\xe9", " "]),
+                 max_size=30).map(lambda parts: "".join(parts).encode("utf-8")),
+    ))
+    def test_arbitrary_bytes_parse_or_raise_parse_error(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "p.csv")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    series = bt.ingest_csv(path)
+                except ParseError:
+                    return
+        assert len(series) >= 1
 
 
 class TestSegmentation:
@@ -227,6 +264,25 @@ class TestWalkForward:
         assert_allclose(
             np.asarray(flipped.returns) + np.asarray(ledger.returns), 2.0
         )
+
+    def test_walk_profiles_match_core_profile(self):
+        # Every even month has the same shape, so most radii tie; the walk's
+        # row sort must break ties by month index like core.profile does.
+        rng = np.random.default_rng(3)
+        blocks = [m.block for m in period2_history(90)]
+        blocks[1::7] = [bt.MonthBlock(b.month_id, b.closes * np.exp(rng.normal(0, 0.01, b.n_days)))
+                        for b in blocks[1::7]]
+        labeled = bt.label_months(blocks)
+        walk = bt._WalkDistances(labeled)
+        for queries, pool in ((range(60, 72), range(0, 60)), (range(72, 73), range(10, 72))):
+            batch = walk.batch(queries, pool)
+            data = core.Dataset.from_sequences([labeled[j].block.closes for j in pool],
+                                               [labeled[j].label for j in pool])
+            for row, s in enumerate(queries):
+                prof = core.profile(data, core.idtw, labeled[s].block.closes)
+                assert batch.radii[row].tobytes() == prof.radii.tobytes()
+                assert np.array_equal(batch.index[row], prof.source_indices + pool.start)
+                assert np.array_equal(batch.labels[row], prof.labels)
 
     def test_deterministic(self):
         labeled = period2_history(200)

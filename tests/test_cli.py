@@ -277,6 +277,20 @@ def test_bad_input_exits_with_one_line(train_csv, argv, code, needle):
     assert len(err.splitlines()) == 1 and "error: " in err and needle in err
 
 
+def test_bad_file_contents_exit_with_one_line(tmp_path):
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(b"2020-01-01,1\n2020-01-02,\xff2\n")
+    train = tmp_path / "train.csv"
+    train.write_text("0.0,0.1,1\n0.1,0.0,0.5\n")
+    for argv, needle in (
+        (["backtest", "--input", str(prices), "--method", "buy"], "not UTF-8"),
+        (ESTIMATE + [str(train), "--method", "knn", "--params", "k=1"], "labels must be 0 or 1"),
+    ):
+        code, err = exit_status(argv)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "error: " in err and needle in err
+
+
 _PARAM_TEXT = st.one_of(
     st.text(max_size=40),
     st.lists(

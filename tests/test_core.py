@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from radial import core
+from radial._dtw import warp_sqcost
 from radial.errors import DimensionMismatch, DomainError
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -127,6 +128,14 @@ class TestDomainTypes:
         with pytest.raises(DomainError):
             core.LabeledPoint([1.0], 2)
 
+    def test_fractional_labels_rejected(self):
+        with pytest.raises(DomainError):
+            core.Dataset.from_arrays([[0.0], [1.0]], [0.7, 1.9])
+        with pytest.raises(DomainError):
+            core.Dataset.from_sequences([[0.0], [1.0, 2.0]], [0.0, 0.5])
+        data = core.Dataset.from_arrays([[0.0], [1.0]], np.array([0.0, 1.0]))
+        assert data.labels.tolist() == [0, 1]
+
     def test_covariates_must_be_finite(self):
         with pytest.raises(DomainError):
             core.as_covariate([1.0, np.inf])
@@ -166,6 +175,8 @@ def test_get_metric():
 
 
 def test_dtw_fallback_without_numba():
+    # radial needs no numba: with it blocked, the package imports and the
+    # distances keep their values.
     import subprocess
     import sys
 
@@ -174,8 +185,58 @@ def test_dtw_fallback_without_numba():
         "from radial import core\n"
         "assert core.dtw([1, 3], [1, 2, 3]) == 1.0\n"
         "assert core.idtw([2, 4], [1, 2]) == 0.0\n"
-        "from radial import _dtw\n"
-        "assert _dtw.warp_sqcost is _dtw._warp_sqcost_py\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def scalar_warp_sqcost(a: np.ndarray, b: np.ndarray) -> float:
+    """Reference: the three-way recurrence one cell at a time."""
+    n = a.shape[0]
+    m = b.shape[0]
+    prev = np.empty(m + 1)
+    cur = np.empty(m + 1)
+    prev[0] = 0.0
+    for j in range(1, m + 1):
+        prev[j] = np.inf
+    for i in range(1, n + 1):
+        cur[0] = np.inf
+        ai = a[i - 1]
+        for j in range(1, m + 1):
+            d = ai - b[j - 1]
+            best = prev[j]
+            if cur[j - 1] < best:
+                best = cur[j - 1]
+            if prev[j - 1] < best:
+                best = prev[j - 1]
+            cur[j] = d * d + best
+        prev, cur = cur, prev
+    return prev[m]
+
+
+long_series = st.lists(finite_floats, min_size=1, max_size=30).map(np.array)
+
+
+class TestWarpKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(long_series, long_series), min_size=1, max_size=8))
+    @example([(np.array([1.0]), np.arange(30.0)), (np.arange(30.0), np.array([-2.0])),
+              (np.array([3.0]), np.array([4.0])), (np.arange(7.0), np.arange(12.0)[::-1])])
+    def test_batch_matches_scalar_recurrence_bitwise(self, pairs):
+        A, B = [a for a, _ in pairs], [b for _, b in pairs]
+        expected = np.array([scalar_warp_sqcost(a, b) for a, b in pairs])
+        assert warp_sqcost(A, B).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("lengths", [(15, 24), (20, 20)], ids=["ragged", "equal-length"])
+    @pytest.mark.parametrize("metric", [core.dtw, core.idtw], ids=["dtw", "idtw"])
+    def test_profile_matches_per_row_distances(self, metric, lengths):
+        rng = np.random.default_rng(11)
+        xs = [100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, int(rng.integers(*lengths, endpoint=True)))))
+              for _ in range(40)]
+        data = core.Dataset.from_sequences(xs, rng.integers(0, 2, 40))
+        q = xs[3] * 1.01
+        per_row = np.array([metric(q, x) for x in xs])
+        order = np.argsort(per_row, kind="stable")
+        prof = core.profile(data, metric, q)
+        assert prof.radii.tobytes() == per_row[order].tobytes()
+        assert np.array_equal(prof.source_indices, order)

@@ -162,6 +162,10 @@ class TestZetaConcentration:
         rows = tl.zeta_concentration(1, 1.0, [2000], reps=200, rng_seed=0)
         assert abs(rows[0].ratio_mean - 0.75) <= 0.05
 
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(ParameterError):
+            tl.zeta_concentration(0, 1.0, [10], 2, 0)
+
     def test_cutoff_scale_invariance(self):
         a = tl.zeta_concentration(2, 1.0, [100], reps=50, rng_seed=5)
         b = tl.zeta_concentration(2, 17.0, [100], reps=50, rng_seed=5)
