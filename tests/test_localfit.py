@@ -1,10 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
 
+from radial import localfit
 from radial.errors import DimensionMismatch, DomainError, ParameterError
 from radial.localfit import (
+    SEPARATION_NORM,
     LogisticConfig,
     MultivariatePoly,
     RadialEvenPoly,
@@ -199,6 +205,167 @@ class TestLogistic:
             tb, cb, _ = fit_logistic(feats[b], y[b], w[b])
             assert_allclose(theta[b], tb, atol=1e-7)
             assert conv[b] == cb
+
+
+def einsum_penalized_loglik(X, y, w, theta, ridge, pen):
+    """Reference objective: contracts X with theta once per call."""
+    f = np.einsum("bnp,bp->bn", X, theta)
+    ll = (w * (y * f - np.logaddexp(0.0, f))).sum(axis=-1)
+    return ll - 0.5 * ridge * ((theta**2) * pen).sum(axis=-1)
+
+
+def einsum_newton(X, y, w, ridge, pen, max_iter, tol):
+    """Reference: the damped Newton loop with every contraction an einsum
+    over the whole batch and the line search rescoring X[pending]."""
+    B, n, p = X.shape
+    theta = np.zeros((B, p))
+    converged = np.zeros(B, dtype=bool)
+    iterations = np.full(B, max_iter, dtype=np.int64)
+    active = np.ones(B, dtype=bool)
+    obj = einsum_penalized_loglik(X, y, w, theta, ridge, pen)
+
+    for it in range(1, max_iter + 1):
+        f = np.einsum("bnp,bp->bn", X, theta)
+        pr = expit(f)
+        grad = np.einsum("bnp,bn->bp", X, w * (y - pr)) - ridge * theta * pen
+        gmax = np.abs(grad).max(axis=-1)
+
+        finite = np.isfinite(gmax)
+        done = active & finite & (gmax < tol)
+        converged |= done
+        iterations[done] = it - 1
+        broken = active & ~finite
+        iterations[broken] = it - 1
+        active &= ~(done | broken)
+        if not active.any():
+            break
+
+        curv = w * pr * (1.0 - pr)
+        H = np.einsum("bnp,bn,bnq->bpq", X, curv, X)
+        H += ridge * pen[:, :, None] * np.eye(p)
+        diag_scale = np.einsum("bpp->b", H) / p
+        H += (1e-12 * np.maximum(diag_scale, 1.0) + 1e-300)[:, None, None] * np.eye(p)
+        try:
+            step = np.linalg.solve(H, grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = np.einsum("bpq,bq->bp", np.linalg.pinv(H), grad)
+
+        pending = active.copy()
+        alpha = 1.0
+        for _ in range(localfit._MAX_HALVINGS + 1):
+            if not pending.any():
+                break
+            cand = theta[pending] + alpha * step[pending]
+            cand_obj = einsum_penalized_loglik(X[pending], y[pending], w[pending], cand, ridge, pen[pending])
+            accept = cand_obj > obj[pending] - 1e-12 * (1.0 + np.abs(obj[pending]))
+            accept &= np.isfinite(cand_obj)
+            if accept.any():
+                rows = np.flatnonzero(pending)[accept]
+                theta[rows] = cand[accept]
+                obj[rows] = cand_obj[accept]
+                keep_pending = pending.copy()
+                keep_pending[rows] = False
+                pending = keep_pending
+            alpha *= 0.5
+        stalled = pending
+        iterations[stalled] = it
+        active &= ~stalled
+
+    return theta, converged, iterations
+
+
+def fit_both(features, targets, weights):
+    """fit_logistic through the solver and through the einsum reference,
+    each with the number of Newton runs it made (2 after a separation refit)."""
+    out = []
+    for newton in (localfit._newton, einsum_newton):
+        with mock.patch.object(localfit, "_newton", side_effect=newton) as spy:
+            out.append((fit_logistic(features, targets, weights), spy.call_count))
+    return out
+
+
+@st.composite
+def logistic_problems(draw):
+    """Radial or multivariate batches with zero-weight padding rows and
+    binary, fractional, separated or all-equal (saturated) targets, in C
+    or Fortran memory order."""
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        basis = RadialPoly(draw(st.integers(0, 3)))
+        z = rng.uniform(0.0, draw(st.sampled_from([1e-3, 1.0, 50.0])), batch + (30,))
+        features = basis.expand(z)
+    else:
+        basis = MultivariatePoly(draw(st.integers(0, 2)), draw(st.integers(1, 3)))
+        points = rng.normal(size=batch + (30, basis.dim))
+        z = points[..., 0]
+        features = basis.expand(points)
+    # Every problem keeps at least as many weighted rows as coefficients,
+    # as the estimators' degree reduction guarantees.
+    n = draw(st.integers(basis.output_dim, 30))
+    active = n - draw(st.integers(0, n - basis.output_dim))
+    features, z = features[..., :n, :], z[..., :n]
+    weights = rng.uniform(0.1, 2.0, batch + (n,))
+    weights[..., active:] = 0.0
+    kind = draw(st.sampled_from(["binary", "fractional", "separated", "saturated"]))
+    if kind == "binary":
+        targets = rng.integers(0, 2, batch + (n,)).astype(float)
+    elif kind == "fractional":
+        targets = rng.uniform(0.0, 1.0, batch + (n,))
+    elif kind == "separated":
+        targets = (z < np.median(z[..., :active], axis=-1, keepdims=True)).astype(float)
+    else:
+        targets = np.full(batch + (n,), float(rng.integers(0, 2)))
+    if draw(st.booleans()):
+        # Callers hand in sliced and fancy-indexed arrays too.
+        features, targets, weights = map(np.asfortranarray, (features, targets, weights))
+    return features, targets, weights
+
+
+class TestNewtonMatchesEinsumReference:
+    @settings(max_examples=200, deadline=None)
+    @given(logistic_problems())
+    def test_fit_logistic_matches_reference(self, problem):
+        features, _, weights = problem
+        (got, runs), (want, want_runs) = fit_both(*problem)
+        assert runs == want_runs
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        f_got = np.einsum("...np,...p->...n", features, got[0])
+        f_want = np.einsum("...np,...p->...n", features, want[0])
+        rows = weights > 0
+        assert np.all(np.abs(expit(f_got) - expit(f_want))[rows] <= 1e-10)
+        # Once a weighted row has |x.theta| > 30, its likelihood term is flat
+        # to 1e-13 and only the 1e-8 ridge pins theta along that direction,
+        # so theta moves with the order of the sums (by up to ~6e-9 of its
+        # largest coefficient); there the probabilities above are compared.
+        unsaturated = np.where(rows, np.abs(f_want), 0.0).max(axis=-1) <= 30
+        floor = 1e-12 * np.abs(want[0]).max(axis=-1, keepdims=True)
+        close = np.abs(got[0] - want[0]) <= 1e-10 * np.abs(want[0]) + floor
+        assert np.all(close[unsaturated])
+
+    @settings(max_examples=100, deadline=None)
+    @given(logistic_problems())
+    def test_batch_rows_match_single_problem_fits_bitwise(self, problem):
+        features, targets, weights = problem
+        theta, converged, iterations = fit_logistic(features, targets, weights)
+        for idx in np.ndindex(targets.shape[:-1]):
+            t1, c1, i1 = fit_logistic(features[idx], targets[idx], weights[idx])
+            assert theta[idx].tobytes() == t1.tobytes()
+            assert converged[idx] == c1 and iterations[idx] == i1
+
+    def test_separated_batch_takes_the_refit(self):
+        # Row 0 is separated by a gap of 2e-3 at r = 0.5, so its
+        # coefficients pass SEPARATION_NORM at the default ridge; row 1 is not
+        # separated and is fitted once.
+        r = np.array([[0.1, 0.2, 0.499, 0.501, 0.8, 0.9], [0.5, 0.1, 0.9, 0.3, 0.7, 1.1]])
+        y = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]])
+        features = RadialPoly(1).expand(r)
+        (got, runs), (want, want_runs) = fit_both(features, y, np.ones_like(r))
+        assert runs == want_runs == 2
+        assert np.linalg.norm(got[0][0]) < SEPARATION_NORM
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        assert_allclose(got[0], want[0], rtol=1e-10)
 
 
 class TestWeightedSample:
