@@ -342,8 +342,8 @@ def _lrr(
 
     def design(rows, qq):
         width = _extent(inside[rows])
-        radii = batch.radii[rows, :width]
-        return basis(qq).expand(radii), batch.labels[rows, :width], weights[rows, :width]
+        features = localfit.RadialFeatures(batch.radii[rows, :width], basis(qq))
+        return features, batch.labels[rows, :width], weights[rows, :width]
 
     values, converged = _fit_by_degree(q_eff, design, loss == "logistic", config)
     return BatchEstimate(values, n_pos, converged, fallback)

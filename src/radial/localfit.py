@@ -6,10 +6,20 @@ problem is simply batch shape ``()``. Columns are standardized before
 solving and the coefficients are mapped back, which keeps the normal
 equations well conditioned when radii are far from unit scale.
 
-The logistic solver's Newton step runs on BLAS: the Hessian of each
-problem is the weighted Gram matrix X^T diag(c) X, formed by one batched
-matmul over a transposed view of X, and the gradient and linear predictor
-are matmuls as well.
+The logistic solver is one damped-Newton loop over a design object that
+offers X theta, X^T v, X^T diag(c) X and a subset of its problems. There
+are two designs, both of the standardized columns:
+
+- the dense design holds the standardized (B, n, p) array, and each of its
+  contractions is a batched matmul on BLAS, the Hessian a weighted Gram
+  matrix;
+- the radial design serves ``RadialFeatures``, whose columns are powers of
+  one radius r. It holds powers u^k of the centered, scaled radius
+  u = (r - m) / s up to twice the basis's largest exponent, and an exact
+  binomial change of basis M from them to the standardized columns. Its
+  Hessian is M^T K M for the Hankel matrix K of the power sums sum c u^k
+  (the moment form of local polynomial fitting), and its gradient is
+  M^T (sum v u^k).
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 from scipy.special import expit
@@ -51,6 +62,17 @@ def _monomial_exponents(degree: int, dim: int) -> np.ndarray:
     return out
 
 
+def _power(x: np.ndarray, e) -> np.ndarray:
+    """``x ** e`` for an integer ``e >= 0``, elementwise as numpy's power
+    loop computes it with an exponent array: the scalar ``x ** 2`` takes a
+    squaring shortcut that rounds differently."""
+    if e == 0:
+        return np.ones_like(x)
+    if e == 1:
+        return x
+    return np.power(x, np.full(x.shape, e, dtype=np.int64))
+
+
 @dataclass(frozen=True)
 class MultivariatePoly:
     """All monomials of total degree <= ``degree`` in ``dim`` variables."""
@@ -71,7 +93,18 @@ class MultivariatePoly:
         if x.shape[-1] != self.dim:
             raise DimensionMismatch(f"expected inputs of length {self.dim}, got {x.shape[-1]}")
         exps = _monomial_exponents(self.degree, self.dim)
-        return np.prod(x[..., None, :] ** exps, axis=-1)
+        powers = {
+            (j, e): _power(x[..., j], e) for j in range(self.dim) for e in np.unique(exps[:, j]) if e
+        }
+        out = np.empty(x.shape[:-1] + (exps.shape[0],))
+        for i, row in enumerate(exps):
+            # Factors multiply left to right, as a product over the row would;
+            # x^0 = 1 factors are exact and left out.
+            col = None
+            for j in np.flatnonzero(row):
+                col = powers[j, row[j]] if col is None else col * powers[j, row[j]]
+            out[..., i] = 1.0 if col is None else col
+        return out
 
 
 @dataclass(frozen=True)
@@ -88,9 +121,13 @@ class RadialPoly:
     def output_dim(self) -> int:
         return self.degree + 1
 
+    @property
+    def exponents(self) -> np.ndarray:
+        return np.arange(self.degree + 1)
+
     def expand(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
-        return r[..., None] ** np.arange(self.degree + 1)
+        return r[..., None] ** self.exponents
 
 
 @dataclass(frozen=True)
@@ -107,13 +144,40 @@ class RadialEvenPoly:
     def output_dim(self) -> int:
         return self.order + 1
 
+    @property
+    def exponents(self) -> np.ndarray:
+        return np.concatenate(([0], 2 * np.arange(1, self.order + 1)))
+
     def expand(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
-        powers = np.concatenate(([0], 2 * np.arange(1, self.order + 1)))
-        return r[..., None] ** powers
+        return r[..., None] ** self.exponents
 
 
-FeatureMap = MultivariatePoly | RadialPoly | RadialEvenPoly
+RadialBasis = RadialPoly | RadialEvenPoly
+FeatureMap = MultivariatePoly | RadialBasis
+
+
+@dataclass(frozen=True, eq=False)
+class RadialFeatures:
+    """The features ``basis.expand(radii)``, kept as the radii.
+
+    ``fit_logistic`` fits them through the radial design, from power sums
+    of the radius. Anything else reads them as the expanded (..., n, p)
+    array: ``np.asarray`` expands them, and ``shape`` is that array's.
+    """
+
+    radii: np.ndarray
+    basis: RadialBasis
+
+    def __post_init__(self):
+        object.__setattr__(self, "radii", np.ascontiguousarray(self.radii, dtype=np.float64))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.radii.shape + (self.basis.output_dim,)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.basis.expand(self.radii), dtype=dtype)
 
 
 def evaluate(feature_map: FeatureMap, theta, x) -> float | np.ndarray:
@@ -178,14 +242,12 @@ class LogisticConfig:
 # ---------------------------------------------------------------------------
 
 
-def _standardize(X: np.ndarray, weights: np.ndarray):
-    """Center/scale non-constant columns; constants are left untouched.
+def _moments(X: np.ndarray, weights: np.ndarray):
+    """Each column's weighted mean and standard deviation, and its largest
+    magnitude over the active rows.
 
     Moments are weighted so zero-weight rows (padding) cannot distort the
-    scaling of the rows that actually enter the fit. Centering is applied
-    only when column 0 is a constant nonzero column over the active rows
-    (the feature-map convention puts the intercept first), so the removed
-    offsets can be folded back into its coefficient.
+    scaling of the rows that actually enter the fit.
     """
     totals = weights.sum(axis=-1, keepdims=True)
     wn = weights / np.where(totals > 0, totals, 1.0)
@@ -194,14 +256,29 @@ def _standardize(X: np.ndarray, weights: np.ndarray):
     std = np.sqrt(np.maximum(var, 0.0))
     active = (weights > 0)[..., :, None]
     col_max = np.abs(np.where(active, X, 0.0)).max(axis=-2, initial=0.0)
+    return mean, std, col_max
+
+
+def _column_scaling(mean, std, col_max):
+    """Center/scale non-constant columns; constants are left untouched.
+
+    Centering is applied only when column 0 is a constant nonzero column
+    over the active rows (the feature-map convention puts the intercept
+    first), so the removed offsets can be folded back into its coefficient.
+    """
     # Constancy is relative to the column's own magnitude: a column of
     # uniformly tiny but varying values still carries information.
     is_const = std <= 1e-12 * col_max
     scale = np.where(is_const, 1.0, std)
     has_intercept = is_const[..., 0] & (np.abs(mean[..., 0]) > 1e-12)
     center = np.where(is_const, 0.0, mean) * has_intercept[..., None]
-    Xs = (X - center[..., None, :]) / scale[..., None, :]
-    return Xs, scale, center, has_intercept, mean[..., 0]
+    return scale, center, has_intercept, mean[..., 0]
+
+
+def _standardize(X: np.ndarray, weights: np.ndarray):
+    scaling = _column_scaling(*_moments(X, weights))
+    scale, center = scaling[:2]
+    return ((X - center[..., None, :]) / scale[..., None, :], *scaling)
 
 
 def _destandardize(theta_s, scale, center, has_intercept, intercept_value):
@@ -234,9 +311,11 @@ def solve_wls(features, targets, weights):
     condition_flag : (...) bool array
         True where the standardized design was rank deficient.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
+    # The einsums of _standardize sum in memory-layout order; in C order a
+    # problem's result does not depend on the layout or its batch position.
+    X = np.ascontiguousarray(features, dtype=np.float64)
+    y = np.ascontiguousarray(targets, dtype=np.float64)
+    w = np.ascontiguousarray(weights, dtype=np.float64)
     n, p = X.shape[-2:]
 
     Xs, scale, center, has_intercept, v0 = _standardize(X, w)
@@ -280,37 +359,138 @@ def _penalized_loglik(f, y, w, theta, ridge, pen):
     return ll - 0.5 * ridge * ((theta**2) * pen).sum(axis=-1)
 
 
-def _newton(X, y, w, ridge, pen, max_iter, tol):
+class _DenseDesign:
+    """A flattened (B, n, p) standardized design held as it is.
+
+    Every contraction over the n rows is a batched matmul, which numpy hands
+    to BLAS one problem at a time: the Hessian is the weighted Gram matrix
+    X^T diag(c) X. ``Xt`` is a transposed view, never a copy; BLAS reads it
+    as a column-major matrix.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        self.Xt = np.swapaxes(X, -1, -2)
+
+    def dot(self, theta):
+        """X theta, (B, n)."""
+        return (self.X @ theta[..., None])[..., 0]
+
+    def tdot(self, v):
+        """X^T v, (B, p)."""
+        return (self.Xt @ v[..., None])[..., 0]
+
+    def gram(self, c):
+        """X^T diag(c) X, (B, p, p)."""
+        return self.Xt @ (self.X * c[..., None])
+
+    def take(self, rows) -> _DenseDesign:
+        return _DenseDesign(self.X[rows])
+
+
+class _RadialDesign:
+    """A flattened standardized design whose p columns are polynomials of
+    degree <= E in one radius, held as powers of that radius.
+
+    With u = (r - m) / s the radius centered and scaled by its weighted mean
+    and standard deviation, ``powers`` (B, 2E+1, n) holds u^0 ... u^2E and
+    ``M`` (B, E+1, p) is the binomial change of basis with standardized
+    design = U M, U the (n, E+1) matrix of u^0 ... u^E. So X theta is
+    U (M theta), X^T v is M^T (U^T v), and X^T diag(c) X is M^T K M for
+    the Hankel matrix K[i, j] = sum c u^(i+j) of 2E+1 power sums.
+    """
+
+    def __init__(self, powers: np.ndarray, M: np.ndarray):
+        self.powers = powers
+        self.M = M
+        self.Mt = np.swapaxes(M, -1, -2)
+        k = M.shape[-2]
+        self.low = powers[:, :k]
+        self.hankel = np.add.outer(np.arange(k), np.arange(k))
+
+    def dot(self, theta):
+        return (np.swapaxes(self.low, -1, -2) @ (self.M @ theta[..., None]))[..., 0]
+
+    def tdot(self, v):
+        return (self.Mt @ (self.low @ v[..., None]))[..., 0]
+
+    def gram(self, c):
+        sums = (self.powers @ c[..., None])[..., 0]
+        return self.Mt @ sums[:, self.hankel] @ self.M
+
+    def take(self, rows) -> _RadialDesign:
+        return _RadialDesign(self.powers[rows], self.M[rows])
+
+
+def _radial_design(features: RadialFeatures, weights: np.ndarray):
+    """The ``_RadialDesign`` of ``features`` and its ``_column_scaling``.
+
+    The column moments are those ``_standardize`` takes of the expanded
+    features, taken one column at a time, so the expanded array is never
+    formed.
+    """
+    r = features.radii
+    exps = features.basis.exponents
+    columns = [_moments(_power(r, e)[..., None], weights) for e in exps]
+    scaling = _column_scaling(*(np.concatenate(c, axis=-1) for c in zip(*columns)))
+    scale, center = scaling[:2]
+
+    # Centering matters: powers of a radius far from 0 are nearly collinear.
+    m, s, _ = (a[..., 0] for a in _moments(r[..., None], weights))
+    s = np.where(s > 0, s, 1.0)
+    E = int(exps.max())
+    # Powers by repeated products: numpy's power rounds a lone problem's
+    # scalar differently from an array, and rows of a batch must not.
+    m_pow, s_pow = [np.ones_like(m)], [np.ones_like(s)]
+    for _ in range(E):
+        m_pow.append(m_pow[-1] * m)
+        s_pow.append(s_pow[-1] * s)
+    M = np.zeros(r.shape[:-1] + (E + 1, exps.size))
+    for j, e in enumerate(exps):
+        # r^e = (m + s u)^e = sum_k C(e, k) m^(e-k) s^k u^k
+        for k in range(e + 1):
+            M[..., k, j] = comb(int(e), k) * m_pow[e - k] * s_pow[k]
+        M[..., 0, j] -= center[..., j]
+    M /= scale[..., None, :]
+
+    n = r.shape[-1]
+    u = ((r - m[..., None]) / s[..., None]).reshape(-1, n)
+    powers = np.empty((u.shape[0], 2 * E + 1, n))
+    powers[:, 0] = 1.0
+    for k in range(1, 2 * E + 1):
+        np.multiply(powers[:, k - 1], u, out=powers[:, k])
+    return _RadialDesign(powers, M.reshape(-1, E + 1, exps.size)), scaling
+
+
+def _newton(design, y, w, ridge, pen, max_iter, tol):
     """Damped Newton ascent on the penalized weighted log-likelihood.
 
-    Operates on a flattened batch (B, n, p). ``pen`` carries per-problem,
-    per-coefficient penalty scales (zero at the intercept position) so the
-    ridge acts on the destandardized coefficients.
+    Operates on a flattened batch of B problems: ``design`` is a
+    ``_DenseDesign`` or a ``_RadialDesign``, ``y`` and ``w`` are (B, n).
+    ``pen`` carries per-problem, per-coefficient penalty scales (zero at the
+    intercept position) so the ridge acts on the destandardized
+    coefficients.
 
-    Every contraction over the n rows is a batched matmul, which numpy
-    hands to BLAS one problem at a time: the Hessian is the weighted Gram
-    matrix X^T diag(c) X. ``Xt`` is a transposed view, never a copy; BLAS
-    reads it as a column-major matrix. The line search scores each halving
-    from ``f + alpha * X step`` with ``f = X theta``, so it never contracts
-    ``X`` itself. Problems leave the working set once converged, stalled or
-    broken problems make up half of it; every per-problem result is the
-    same as without that.
+    The line search scores each halving from ``f + alpha * X step`` with
+    ``f = X theta``, so it never contracts the design itself. Problems leave
+    the working set once converged, stalled or broken problems make up half
+    of it; every per-problem result is the same as without that.
     """
-    B, n, p = X.shape
+    B, n = y.shape
+    p = pen.shape[-1]
     theta_out = np.zeros((B, p))
     converged = np.zeros(B, dtype=bool)
     iterations = np.full(B, max_iter, dtype=np.int64)
     # The working set: ``rows`` maps each of its problems to its output row.
     rows = np.arange(B)
-    Xt = np.swapaxes(X, -1, -2)
     theta = np.zeros((B, p))
     active = np.ones(B, dtype=bool)
     obj = _penalized_loglik(np.zeros((B, n)), y, w, theta, ridge, pen)
 
     for it in range(1, max_iter + 1):
-        f = (X @ theta[..., None])[..., 0]
+        f = design.dot(theta)
         pr = expit(f)
-        grad = (Xt @ (w * (y - pr))[..., None])[..., 0] - ridge * theta * pen
+        grad = design.tdot(w * (y - pr)) - ridge * theta * pen
         gmax = np.abs(grad).max(axis=-1)
 
         finite = np.isfinite(gmax)
@@ -324,16 +504,16 @@ def _newton(X, y, w, ridge, pen, max_iter, tol):
             break
         if 2 * np.count_nonzero(active) <= active.size:
             # Drop finished problems once they are half the working set, so
-            # the copy of X made here is at most half of it.
+            # the copy of the design made here is at most half of it.
             theta_out[rows[~active]] = theta[~active]
             keep = np.flatnonzero(active)
-            rows, X, y, w, pen, theta, f, obj, pr, grad, active = (
-                a[keep] for a in (rows, X, y, w, pen, theta, f, obj, pr, grad, active)
+            rows, y, w, pen, theta, f, obj, pr, grad, active = (
+                a[keep] for a in (rows, y, w, pen, theta, f, obj, pr, grad, active)
             )
-            Xt = np.swapaxes(X, -1, -2)
+            design = design.take(keep)
 
         curv = w * pr * (1.0 - pr)
-        H = Xt @ (X * curv[..., None])
+        H = design.gram(curv)
         H += ridge * pen[:, :, None] * np.eye(p)
         # Tiny jitter keeps the batched solve defined when a problem is
         # fully saturated; a useless step is rejected by the line search.
@@ -343,17 +523,21 @@ def _newton(X, y, w, ridge, pen, max_iter, tol):
             step = np.linalg.solve(H, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = (np.linalg.pinv(H) @ grad[..., None])[..., 0]
-        fstep = (X @ step[..., None])[..., 0]
+        fstep = design.dot(step)
 
         pending = active.copy()
         alpha = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             if not pending.any():
                 break
-            cand = theta[pending] + alpha * step[pending]
-            cand_f = f[pending] + alpha * fstep[pending]
-            cand_obj = _penalized_loglik(cand_f, y[pending], w[pending], cand, ridge, pen[pending])
-            accept = cand_obj > obj[pending] - 1e-12 * (1.0 + np.abs(obj[pending]))
+            # While the whole working set is pending (the first halving of
+            # nearly every iteration) candidates are scored on the full
+            # arrays, which a boolean gather would copy.
+            sel = slice(None) if pending.all() else pending
+            cand = theta[sel] + alpha * step[sel]
+            cand_f = f[sel] + alpha * fstep[sel]
+            cand_obj = _penalized_loglik(cand_f, y[sel], w[sel], cand, ridge, pen[sel])
+            accept = cand_obj > obj[sel] - 1e-12 * (1.0 + np.abs(obj[sel]))
             accept &= np.isfinite(cand_obj)
             if accept.any():
                 moved = np.flatnonzero(pending)[accept]
@@ -377,7 +561,9 @@ def fit_logistic(features, targets, weights, config: LogisticConfig | None = Non
     Maximizes sum_i w_i [y_i log s(f_i) + (1-y_i) log(1-s(f_i))] minus
     ``ridge/2 * |theta[1:]|^2`` by damped Newton iterations. Problems whose
     coefficient norm diverges (perfect separation) are refit once with the
-    ridge raised to ``SEPARATION_RIDGE``.
+    ridge raised to ``SEPARATION_RIDGE``. ``features`` is a (..., n, p)
+    array, or ``RadialFeatures``, which are fitted from power sums of the
+    radius.
 
     Returns ``(theta, converged, iterations)`` with the batch shape of the
     inputs.
@@ -387,14 +573,17 @@ def fit_logistic(features, targets, weights, config: LogisticConfig | None = Non
     # einsum and BLAS pick their order of summation by memory layout; in C
     # order a problem's result does not depend on the layout or the batch
     # position it arrives in.
-    X = np.ascontiguousarray(features, dtype=np.float64)
     y = np.ascontiguousarray(targets, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
-    batch_shape = X.shape[:-2]
-    n, p = X.shape[-2:]
-
-    Xs, scale, center, has_intercept, v0 = _standardize(X, w)
-    Xf = Xs.reshape(-1, n, p)
+    if isinstance(features, RadialFeatures):
+        design, scaling = _radial_design(features, w)
+    else:
+        X = np.ascontiguousarray(features, dtype=np.float64)
+        Xs, *scaling = _standardize(X, w)
+        design = _DenseDesign(Xs.reshape((-1,) + X.shape[-2:]))
+    scale, center, has_intercept, v0 = scaling
+    batch_shape = np.shape(features)[:-2]
+    n, p = np.shape(features)[-2:]
     yf = y.reshape(-1, n)
     wf = w.reshape(-1, n)
     # The solver works on standardized columns where coefficient j is
@@ -404,14 +593,14 @@ def fit_logistic(features, targets, weights, config: LogisticConfig | None = Non
     pen[:, 0] = 0.0
 
     theta_s, converged, iterations = _newton(
-        Xf, yf, wf, config.ridge, pen, config.max_iter, config.tol
+        design, yf, wf, config.ridge, pen, config.max_iter, config.tol
     )
 
     norms = np.linalg.norm(theta_s / scale.reshape(-1, p), axis=-1)
     separated = np.isfinite(norms) & (norms > SEPARATION_NORM)
     if separated.any() and config.ridge < SEPARATION_RIDGE:
         t2, c2, i2 = _newton(
-            Xf[separated], yf[separated], wf[separated],
+            design.take(separated), yf[separated], wf[separated],
             SEPARATION_RIDGE, pen[separated], config.max_iter, config.tol,
         )
         theta_s[separated] = t2

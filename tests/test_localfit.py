@@ -14,6 +14,7 @@ from radial.localfit import (
     LogisticConfig,
     MultivariatePoly,
     RadialEvenPoly,
+    RadialFeatures,
     RadialPoly,
     WeightedSample,
     evaluate,
@@ -57,6 +58,19 @@ class TestFeatureMaps:
 
     def test_even_basis_values(self):
         assert_allclose(RadialEvenPoly(2).expand(2.0), [1.0, 4.0, 16.0])
+
+    def test_multivariate_expand_is_the_product_of_powers_bitwise(self):
+        rng = np.random.default_rng(9)
+        for degree in range(5):
+            for dim in range(1, 6):
+                x = rng.normal(size=(7, 29, dim)) * rng.choice([1e-3, 1.0, 50.0])
+                x.flat[::31] = np.nan
+                x.flat[::37] = 0.0
+                x.flat[::41] = -np.inf
+                exps = localfit._monomial_exponents(degree, dim)
+                want = np.prod(x[..., None, :] ** exps, axis=-1)
+                got = MultivariatePoly(degree, dim).expand(x)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestWls:
@@ -115,6 +129,22 @@ class TestWls:
             tb, fb = solve_wls(X[b], y[b], w[b])
             assert_allclose(theta[b], tb, atol=1e-10)
             assert flags[b] == fb
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_batch_rows_match_single_problem_fits_bitwise(self, order):
+        rng = np.random.default_rng(6)
+        for basis in (RadialPoly(2), MultivariatePoly(2, 2)):
+            z = rng.uniform(0.0, 2.0, (4, 30, 2))
+            X = basis.expand(z[..., 0] if isinstance(basis, RadialPoly) else z)
+            y = rng.normal(size=(4, 30))
+            w = rng.uniform(0.1, 1.0, size=(4, 30))
+            w[1, 20:] = 0.0
+            X, y, w = (np.asarray(a, order=order) for a in (X, y, w))
+            theta, flags = solve_wls(X, y, w)
+            for b in range(4):
+                tb, fb = solve_wls(X[b], y[b], w[b])
+                assert theta[b].tobytes() == tb.tobytes()
+                assert flags[b] == fb
 
     def test_ill_conditioned_small_radii(self):
         # powers up to r^4 of radii near 1e-3 destroy raw normal equations;
@@ -278,7 +308,7 @@ def fit_both(features, targets, weights):
     """fit_logistic through the solver and through the einsum reference,
     each with the number of Newton runs it made (2 after a separation refit)."""
     out = []
-    for newton in (localfit._newton, einsum_newton):
+    for newton in (localfit._newton, lambda design, *args: einsum_newton(design.X, *args)):
         with mock.patch.object(localfit, "_newton", side_effect=newton) as spy:
             out.append((fit_logistic(features, targets, weights), spy.call_count))
     return out
@@ -366,6 +396,133 @@ class TestNewtonMatchesEinsumReference:
         assert np.linalg.norm(got[0][0]) < SEPARATION_NORM
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
         assert_allclose(got[0], want[0], rtol=1e-10)
+
+
+def fit_recording_refit(features, targets, weights):
+    """fit_logistic, and the targets of the problems it refit with
+    SEPARATION_RIDGE (None when it made no refit)."""
+    with mock.patch.object(localfit, "_newton", side_effect=localfit._newton) as spy:
+        out = fit_logistic(features, targets, weights)
+    return out, (spy.call_args_list[1].args[1] if spy.call_count == 2 else None)
+
+
+def dense_sensitivity(features, weights):
+    """Per problem, how far rounding can move the dense path's fit: the
+    condition number of its weighted standardized design, times how much
+    larger each raw column is than its spread (rounding a column of radii
+    near 1e4 costs 1e4 times more after standardization than near 0)."""
+    Xs, scale = localfit._standardize(features, weights)[:2]
+    kappa = np.linalg.cond(np.sqrt(weights)[..., None] * Xs)
+    col_max = np.abs(np.where(weights[..., None] > 0, features, 0.0)).max(axis=-2)
+    return kappa * (col_max / scale).max(axis=-1)
+
+
+@st.composite
+def radial_problems(draw):
+    """Radial bases over radii near 0 at three scales or offset far from 0,
+    with zero-weight padding rows and binary, fractional, separated or
+    all-equal targets, in C or Fortran memory order."""
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        basis = RadialPoly(draw(st.integers(0, 3)))
+    else:
+        basis = RadialEvenPoly(draw(st.integers(1, 2)))
+    offset, width = draw(st.sampled_from([(0.0, 1e-6), (0.0, 2.0), (0.0, 1e6), (10.0, 0.01), (1e4, 1.0)]))
+    n = draw(st.integers(basis.output_dim, 30))
+    radii = offset + rng.uniform(0.0, width, batch + (n,))
+    active = n - draw(st.integers(0, n - basis.output_dim))
+    weights = rng.uniform(0.1, 2.0, batch + (n,))
+    weights[..., active:] = 0.0
+    kind = draw(st.sampled_from(["binary", "fractional", "separated", "saturated"]))
+    if kind == "binary":
+        targets = rng.integers(0, 2, batch + (n,)).astype(float)
+    elif kind == "fractional":
+        targets = rng.uniform(0.0, 1.0, batch + (n,))
+    elif kind == "separated":
+        targets = (radii < np.median(radii[..., :active], axis=-1, keepdims=True)).astype(float)
+    else:
+        targets = np.full(batch + (n,), float(rng.integers(0, 2)))
+    if draw(st.booleans()):
+        radii, targets, weights = map(np.asfortranarray, (radii, targets, weights))
+    return radii, basis, targets, weights
+
+
+class TestRadialDesign:
+    @settings(max_examples=300, deadline=None)
+    @given(radial_problems())
+    def test_fit_logistic_matches_dense_path(self, problem):
+        radii, basis, targets, weights = problem
+        features = basis.expand(radii)
+        (got, got_refit), (want, want_refit) = (
+            fit_recording_refit(f, targets, weights)
+            for f in (RadialFeatures(radii, basis), features)
+        )
+        # The two paths round differently, so they agree only as far as the
+        # problem lets rounding move its fit. Where that is far (cubic and
+        # quartic columns of radii 1e4 + U(0, 1); there both paths stop about
+        # 1e-7 in probability from a 60-digit solution), a stall or a refit
+        # can differ as well, so flags are compared only on problems posed
+        # well enough.
+        sensitivity = dense_sensitivity(features, weights)
+        tol = (1e-10 + 1e-12 * sensitivity)[..., None]
+        well_posed = sensitivity <= 1e6
+        assert np.array_equal(got[1][well_posed], want[1][well_posed])
+        assert np.array_equal(got[2][well_posed], want[2][well_posed])
+        if np.all(well_posed):
+            assert (got_refit is None) == (want_refit is None)
+            if got_refit is not None:
+                assert np.array_equal(got_refit, want_refit)
+        f_got = np.einsum("...np,...p->...n", features, got[0])
+        f_want = np.einsum("...np,...p->...n", features, want[0])
+        rows = weights > 0
+        assert np.all((np.abs(expit(f_got) - expit(f_want)) <= tol)[rows])
+        # Theta is compared only for converged fits with |x.theta| <= 10 on
+        # every weighted row. Elsewhere the likelihood is flat to rounding
+        # along some direction (an intercept that drives all-equal targets
+        # toward 0 or 1 stops where the gradient falls below tol), and theta
+        # moves along it as rounding differs.
+        unsaturated = np.where(rows, np.abs(f_want), 0.0).max(axis=-1) <= 10
+        floor = 1e-12 * np.abs(want[0]).max(axis=-1, keepdims=True)
+        close = np.abs(got[0] - want[0]) <= tol * np.abs(want[0]) + floor
+        assert np.all(close[unsaturated & want[1] & well_posed])
+
+    @settings(max_examples=100, deadline=None)
+    @given(radial_problems())
+    def test_batch_rows_match_single_problem_fits_bitwise(self, problem):
+        radii, basis, targets, weights = problem
+        theta, converged, iterations = fit_logistic(RadialFeatures(radii, basis), targets, weights)
+        for idx in np.ndindex(targets.shape[:-1]):
+            t1, c1, i1 = fit_logistic(RadialFeatures(radii[idx], basis), targets[idx], weights[idx])
+            assert theta[idx].tobytes() == t1.tobytes()
+            assert converged[idx] == c1 and iterations[idx] == i1
+
+    @pytest.mark.parametrize("basis", [RadialPoly(0), RadialPoly(3), RadialEvenPoly(2)])
+    def test_features_read_as_the_expanded_array(self, basis):
+        radii = np.random.default_rng(7).uniform(0.0, 2.0, (4, 9))
+        features = RadialFeatures(radii, basis)
+        expanded = basis.expand(radii)
+        assert np.shape(features) == expanded.shape and np.shape(features)[-2] == 9
+        assert np.asarray(features).tobytes() == expanded.tobytes()
+        y, w = radii[..., ::-1].copy(), np.ones_like(radii)
+        for got, want in zip(solve_wls(features, y, w), solve_wls(expanded, y, w)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_offset_radii_converge_with_centered_powers(self):
+        # Radii 1e3 + U(0, 0.01): without centering, the power sums cancel
+        # catastrophically in M^T K M; about a quarter of these fits then stop
+        # unconverged, and probabilities move by about 1e-7.
+        rng = np.random.default_rng(11)
+        radii = 1e3 + rng.uniform(0.0, 0.01, (50, 40))
+        targets = (rng.uniform(size=radii.shape) < expit(200.0 * (radii - 1e3 - 0.005))).astype(float)
+        weights = np.ones_like(radii)
+        got = fit_logistic(RadialFeatures(radii, RadialPoly(2)), targets, weights)
+        want = fit_logistic(RadialPoly(2).expand(radii), targets, weights)
+        assert got[1].all() and np.array_equal(got[2], want[2])
+        features = RadialPoly(2).expand(radii)
+        p_got = expit(np.einsum("...np,...p->...n", features, got[0]))
+        p_want = expit(np.einsum("...np,...p->...n", features, want[0]))
+        assert np.abs(p_got - p_want).max() <= 1e-8
 
 
 class TestWeightedSample:
