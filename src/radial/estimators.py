@@ -233,7 +233,9 @@ def _fit_by_degree(q_eff, design, logistic: bool, config):
     values = np.empty(q_eff.shape[0])
     converged = np.ones(q_eff.shape[0], dtype=bool)
     for qq in np.unique(q_eff):
-        rows = np.flatnonzero(q_eff == qq)
+        group = q_eff == qq
+        # A slice, when every row shares the degree, selects without copying.
+        rows = slice(None) if group.all() else np.flatnonzero(group)
         features, targets, weights = design(rows, int(qq))
         if logistic:
             theta, converged[rows], _ = localfit.fit_logistic(features, targets, weights, config)

@@ -6,26 +6,31 @@ problem is simply batch shape ``()``. Columns are standardized before
 solving and the coefficients are mapped back, which keeps the normal
 equations well conditioned when radii are far from unit scale.
 
-The logistic solver is one damped-Newton loop over a design object that
-offers X theta, X^T v, X^T diag(c) X and a subset of its problems. There
-are two designs, both of the standardized columns:
+Both solvers work on a design object of the standardized columns. There
+are two designs:
 
 - the dense design holds the standardized (B, n, p) array, and each of its
   contractions is a batched matmul on BLAS, the Hessian a weighted Gram
-  matrix;
+  matrix; least squares takes the SVD of the weighted array;
 - the radial design serves ``RadialFeatures``, whose columns are powers of
-  one radius r. It holds powers u^k of the centered, scaled radius
-  u = (r - m) / s up to twice the basis's largest exponent, and an exact
-  binomial change of basis M from them to the standardized columns. Its
+  one radius r. It holds the centered, scaled radius u = (r - m) / s (and,
+  once the Newton loop needs them, its powers up to twice the basis's
+  largest exponent), and an exact binomial change of basis M from powers
+  of u to the standardized columns. Its
   Hessian is M^T K M for the Hankel matrix K of the power sums sum c u^k
   (the moment form of local polynomial fitting), and its gradient is
-  M^T (sum v u^k).
+  M^T (sum v u^k). Least squares factors K = F^T F by its
+  eigendecomposition and takes the SVD of the small matrix F M. The column
+  scaling is read from the same power sums, so the expanded array is
+  formed only for a least-squares problem whose K is too ill-conditioned.
+
+The logistic solver is one damped-Newton loop over either design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -40,6 +45,12 @@ SEPARATION_NORM = 1e3
 SEPARATION_RIDGE = 1e-3
 
 _MAX_HALVINGS = 30
+
+# Forming K = U^T W U squares the condition number of the weighted powers
+# of u. A radial least-squares problem whose K is worse conditioned than
+# this goes through the expanded design's SVD instead, so its rank test
+# still sees singular values down to the SVD's own cutoff.
+GRAM_CONDITION_LIMIT = 1e8
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +172,11 @@ FeatureMap = MultivariatePoly | RadialBasis
 class RadialFeatures:
     """The features ``basis.expand(radii)``, kept as the radii.
 
-    ``fit_logistic`` fits them through the radial design, from power sums
-    of the radius. Anything else reads them as the expanded (..., n, p)
-    array: ``np.asarray`` expands them, and ``shape`` is that array's.
+    ``fit_logistic`` and ``solve_wls`` fit them through the radial design,
+    from power sums of the radius; ``solve_wls`` expands only the problems
+    whose power sums are too ill-conditioned (``GRAM_CONDITION_LIMIT``).
+    Anything else reads them as the expanded (..., n, p) array:
+    ``np.asarray`` expands them, and ``shape`` is that array's.
     """
 
     radii: np.ndarray
@@ -255,7 +268,7 @@ def _moments(X: np.ndarray, weights: np.ndarray):
     var = np.einsum("...n,...np->...p", wn, (X - mean[..., None, :]) ** 2)
     std = np.sqrt(np.maximum(var, 0.0))
     active = (weights > 0)[..., :, None]
-    col_max = np.abs(np.where(active, X, 0.0)).max(axis=-2, initial=0.0)
+    col_max = np.abs(X).max(axis=-2, where=active, initial=0.0)
     return mean, std, col_max
 
 
@@ -278,7 +291,12 @@ def _column_scaling(mean, std, col_max):
 def _standardize(X: np.ndarray, weights: np.ndarray):
     scaling = _column_scaling(*_moments(X, weights))
     scale, center = scaling[:2]
-    return ((X - center[..., None, :]) / scale[..., None, :], *scaling)
+    # Each problem's n*p entries as one row, so the elementwise loops run
+    # along it rather than n times over p.
+    n, p = X.shape[-2:]
+    flat = X.reshape(X.shape[:-2] + (n * p,))
+    Xs = (flat - np.tile(center, n)) / np.tile(scale, n)
+    return (Xs.reshape(X.shape), *scaling)
 
 
 def _destandardize(theta_s, scale, center, has_intercept, intercept_value):
@@ -290,73 +308,22 @@ def _destandardize(theta_s, scale, center, has_intercept, intercept_value):
 
 
 # ---------------------------------------------------------------------------
-# Weighted least squares
+# Designs
 # ---------------------------------------------------------------------------
 
 
-def solve_wls(features, targets, weights):
-    """Minimize sum_i w_i (y_i - x_i . theta)^2 over leading batch dims.
-
-    Parameters
-    ----------
-    features : (..., n, p) array
-    targets : (..., n) array
-    weights : (..., n) array of nonnegative weights
-
-    Returns
-    -------
-    theta : (..., p) array
-        Minimizer; the least-norm minimizer when the design is rank
-        deficient.
-    condition_flag : (...) bool array
-        True where the standardized design was rank deficient.
-    """
-    # The einsums of _standardize sum in memory-layout order; in C order a
-    # problem's result does not depend on the layout or its batch position.
-    X = np.ascontiguousarray(features, dtype=np.float64)
-    y = np.ascontiguousarray(targets, dtype=np.float64)
-    w = np.ascontiguousarray(weights, dtype=np.float64)
-    n, p = X.shape[-2:]
-
-    Xs, scale, center, has_intercept, v0 = _standardize(X, w)
-    sw = np.sqrt(w)
-    A = sw[..., :, None] * Xs
-    b = sw * y
-
+def _least_norm(A, b, n):
+    """Least-norm minimizer of |A theta - b| for each problem of a (B, k, p)
+    batch, with singular values up to max(n, p) eps s_max, for a design of
+    n rows, taken as zero; and whether any were."""
+    p = A.shape[-1]
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     cutoff = max(n, p) * np.finfo(np.float64).eps * s.max(axis=-1, keepdims=True)
     keep = s > cutoff
     s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     utb = np.einsum("...nk,...n->...k", U, b)
     theta_s = np.einsum("...kp,...k->...p", Vt, s_inv * utb)
-    condition_flag = keep.sum(axis=-1) < p
-
-    theta = _destandardize(theta_s, scale, center, has_intercept, v0)
-    return theta, condition_flag
-
-
-def wls_fit(sample: WeightedSample) -> FitResult:
-    """Weighted least squares for a single problem."""
-    theta, flag = solve_wls(sample.features, sample.targets, sample.weights)
-    return FitResult(theta=theta, converged=True, iterations=0, condition_flag=bool(flag))
-
-
-# ---------------------------------------------------------------------------
-# Weighted logistic (damped Newton)
-# ---------------------------------------------------------------------------
-
-
-def _penalized_loglik(f, y, w, theta, ridge, pen):
-    """Penalized log-likelihood of ``theta`` given its linear predictor
-    ``f = X theta``, so a caller that already holds ``f`` never contracts
-    ``X`` again."""
-    # y*f - log(1 + e^f) is the pointwise Bernoulli log-likelihood, valid
-    # for fractional targets in [0, 1]. log(1 + e^f) is spelled out as
-    # max(f, 0) + log1p(e^-|f|), which is np.logaddexp(0, f) to within two
-    # ulps at under half its cost: np.exp is vectorized, logaddexp is not.
-    softplus = np.maximum(f, 0.0) + np.log1p(np.exp(-np.abs(f)))
-    ll = (w * (y * f - softplus)).sum(axis=-1)
-    return ll - 0.5 * ridge * ((theta**2) * pen).sum(axis=-1)
+    return theta_s, keep.sum(axis=-1) < p
 
 
 class _DenseDesign:
@@ -387,26 +354,64 @@ class _DenseDesign:
     def take(self, rows) -> _DenseDesign:
         return _DenseDesign(self.X[rows])
 
+    def lstsq(self, y, w):
+        """The least-norm minimizer of sum w (y - X theta)^2, (B, p), whether
+        X was rank deficient, (B,), and which problems were solved: all."""
+        sw = np.sqrt(w)
+        theta_s, flag = _least_norm(sw[..., :, None] * self.X, sw * y, self.X.shape[-2])
+        return theta_s, flag, np.ones(len(y), dtype=bool)
+
+
+def _power_sums(u, c, count):
+    """The power sums sum_n c[..., n] u[..., n]^k for k < count,
+    (..., count), with one running power: the powers of u are never all
+    held at once."""
+    sums = np.empty(u.shape[:-1] + (count,))
+    sums[..., 0] = c.sum(axis=-1)
+    power = u
+    for k in range(1, count):
+        if k == 2:
+            power = u * u
+        elif k > 2:
+            power *= u
+        sums[..., k] = (c[..., None, :] @ power[..., None])[..., 0, 0]
+    return sums
+
 
 class _RadialDesign:
     """A flattened standardized design whose p columns are polynomials of
-    degree <= E in one radius, held as powers of that radius.
+    degree <= E in one radius, held as that radius.
 
     With u = (r - m) / s the radius centered and scaled by its weighted mean
-    and standard deviation, ``powers`` (B, 2E+1, n) holds u^0 ... u^2E and
-    ``M`` (B, E+1, p) is the binomial change of basis with standardized
-    design = U M, U the (n, E+1) matrix of u^0 ... u^E. So X theta is
-    U (M theta), X^T v is M^T (U^T v), and X^T diag(c) X is M^T K M for
-    the Hankel matrix K[i, j] = sum c u^(i+j) of 2E+1 power sums.
+    and standard deviation, ``u`` is (B, n) and ``M`` (B, E+1, p) is the
+    binomial change of basis with standardized design = U M, U the (n, E+1)
+    matrix of u^0 ... u^E. So X theta is U (M theta), X^T v is M^T (U^T v),
+    and X^T diag(c) X is M^T K M for the Hankel matrix K[i, j] =
+    sum c u^(i+j) of 2E+1 power sums. ``sums`` (B, 2E+1) holds the power
+    sums sum w u^k of the weights the design was built with.
     """
 
-    def __init__(self, powers: np.ndarray, M: np.ndarray):
-        self.powers = powers
+    def __init__(self, u: np.ndarray, M: np.ndarray, sums: np.ndarray):
+        self.u = u
         self.M = M
         self.Mt = np.swapaxes(M, -1, -2)
+        self.sums = sums
         k = M.shape[-2]
-        self.low = powers[:, :k]
         self.hankel = np.add.outer(np.arange(k), np.arange(k))
+
+    @cached_property
+    def powers(self):
+        """u^0 ... u^2E, (B, 2E+1, n), built when a contraction first needs
+        them; least squares needs only power sums."""
+        powers = np.empty(self.sums.shape + self.u.shape[-1:])
+        powers[:, 0] = 1.0
+        for k in range(1, powers.shape[1]):
+            np.multiply(powers[:, k - 1], self.u, out=powers[:, k])
+        return powers
+
+    @property
+    def low(self):
+        return self.powers[:, : self.M.shape[-2]]
 
     def dot(self, theta):
         return (np.swapaxes(self.low, -1, -2) @ (self.M @ theta[..., None]))[..., 0]
@@ -419,47 +424,166 @@ class _RadialDesign:
         return self.Mt @ sums[:, self.hankel] @ self.M
 
     def take(self, rows) -> _RadialDesign:
-        return _RadialDesign(self.powers[rows], self.M[rows])
+        return _RadialDesign(self.u[rows], self.M[rows], self.sums[rows])
+
+    def lstsq(self, y, w):
+        """``_DenseDesign.lstsq`` through K = F^T F, for the problems whose
+        K is conditioned within ``GRAM_CONDITION_LIMIT``; the others are
+        left unsolved, at theta 0. ``w`` are the weights the design was
+        built with.
+
+        With K = Q diag(lam) Q^T, F = diag(sqrt(lam)) Q^T, the weighted
+        design sqrt(w) U M is G (F M) for a G = sqrt(w) U F^-1 with
+        orthonormal columns. So the small F M has its singular values, and
+        G^T sqrt(w) y = F^-T (sum w y u^k).
+        """
+        lam, Q = np.linalg.eigh(self.sums[:, self.hankel])
+        solved = lam[:, 0] > lam[:, -1] / GRAM_CONDITION_LIMIT
+        theta_s = np.zeros((len(y), self.M.shape[-1]))
+        flag = np.zeros(len(y), dtype=bool)
+        if solved.any():
+            root, Qt = np.sqrt(lam[solved]), np.swapaxes(Q[solved], -1, -2)
+            b = _power_sums(self.u, w * y, self.M.shape[-2])[solved]
+            z = (Qt @ b[..., None])[..., 0] / root
+            theta_s[solved], flag[solved] = _least_norm(
+                root[..., None] * (Qt @ self.M[solved]), z, self.u.shape[-1]
+            )
+        return theta_s, flag, solved
 
 
 def _radial_design(features: RadialFeatures, weights: np.ndarray):
     """The ``_RadialDesign`` of ``features`` and its ``_column_scaling``.
 
-    The column moments are those ``_standardize`` takes of the expanded
-    features, taken one column at a time, so the expanded array is never
-    formed.
+    The column moments come from the power sums sum w u^k, k <= 2E, so the
+    expanded array is never formed. With mu_k those sums over sum w, and A
+    the binomial matrix of r^e_j = sum_k A[k, j] u^k, column j has mean
+    sum_k A[k, j] mu_k and variance A[1:, j]^T C A[1:, j] for
+    C[k, l] = mu_(k+l) - mu_k mu_l. u is centered and of unit spread, so
+    these sums do not cancel as sums of raw powers of r would.
     """
     r = features.radii
     exps = features.basis.exponents
-    columns = [_moments(_power(r, e)[..., None], weights) for e in exps]
-    scaling = _column_scaling(*(np.concatenate(c, axis=-1) for c in zip(*columns)))
-    scale, center = scaling[:2]
-
+    batch_shape, n = r.shape[:-1], r.shape[-1]
+    totals = weights.sum(axis=-1)
+    safe_totals = np.where(totals > 0, totals, 1.0)
     # Centering matters: powers of a radius far from 0 are nearly collinear.
-    m, s, _ = (a[..., 0] for a in _moments(r[..., None], weights))
+    m = (weights[..., None, :] @ r[..., None])[..., 0, 0] / safe_totals
+    u = r - m[..., None]
+    s = np.sqrt((weights[..., None, :] @ (u * u)[..., None])[..., 0, 0] / safe_totals)
     s = np.where(s > 0, s, 1.0)
+    u /= s[..., None]
     E = int(exps.max())
+    sums = _power_sums(u, weights, 2 * E + 1)
+
     # Powers by repeated products: numpy's power rounds a lone problem's
     # scalar differently from an array, and rows of a batch must not.
     m_pow, s_pow = [np.ones_like(m)], [np.ones_like(s)]
     for _ in range(E):
         m_pow.append(m_pow[-1] * m)
         s_pow.append(s_pow[-1] * s)
-    M = np.zeros(r.shape[:-1] + (E + 1, exps.size))
+    A = np.zeros(batch_shape + (E + 1, exps.size))
     for j, e in enumerate(exps):
         # r^e = (m + s u)^e = sum_k C(e, k) m^(e-k) s^k u^k
         for k in range(e + 1):
-            M[..., k, j] = comb(int(e), k) * m_pow[e - k] * s_pow[k]
-        M[..., 0, j] -= center[..., j]
-    M /= scale[..., None, :]
+            A[..., k, j] = comb(int(e), k) * m_pow[e - k] * s_pow[k]
 
-    n = r.shape[-1]
-    u = ((r - m[..., None]) / s[..., None]).reshape(-1, n)
-    powers = np.empty((u.shape[0], 2 * E + 1, n))
-    powers[:, 0] = 1.0
-    for k in range(1, 2 * E + 1):
-        np.multiply(powers[:, k - 1], u, out=powers[:, k])
-    return _RadialDesign(powers, M.reshape(-1, E + 1, exps.size)), scaling
+    mu = sums / safe_totals[..., None]
+    mean = (mu[..., None, : E + 1] @ A)[..., 0, :]
+    k = np.arange(1, E + 1)
+    C = mu[..., np.add.outer(k, k)] - mu[..., k, None] * mu[..., None, k]
+    var = ((C @ A[..., 1:, :]) * A[..., 1:, :]).sum(axis=-2)
+    r_max = np.abs(r).max(axis=-1, where=weights > 0, initial=0.0)
+    col_max = np.power(r_max[..., None], exps)
+    scaling = _column_scaling(mean, np.sqrt(np.maximum(var, 0.0)), col_max)
+    scale, center = scaling[:2]
+
+    A[..., 0, :] -= center
+    A /= scale[..., None, :]
+    design = _RadialDesign(
+        u.reshape(-1, n), A.reshape(-1, E + 1, exps.size), sums.reshape(-1, 2 * E + 1)
+    )
+    return design, scaling
+
+
+def _design(features, weights):
+    """The design object of ``features`` over its flattened batch, and the
+    ``_column_scaling`` of its columns in the batch shape."""
+    if isinstance(features, RadialFeatures):
+        return _radial_design(features, weights)
+    # einsum and BLAS pick their order of summation by memory layout; in C
+    # order a problem's result does not depend on the layout or the batch
+    # position it arrives in.
+    X = np.ascontiguousarray(features, dtype=np.float64)
+    Xs, *scaling = _standardize(X, weights)
+    return _DenseDesign(Xs.reshape((-1,) + X.shape[-2:])), scaling
+
+
+# ---------------------------------------------------------------------------
+# Weighted least squares
+# ---------------------------------------------------------------------------
+
+
+def solve_wls(features, targets, weights):
+    """Minimize sum_i w_i (y_i - x_i . theta)^2 over leading batch dims.
+
+    Parameters
+    ----------
+    features : (..., n, p) array, or ``RadialFeatures``
+        ``RadialFeatures`` are solved from power sums of the radius, except
+        problems whose power sums are too ill-conditioned, which are
+        solved as the expanded array.
+    targets : (..., n) array
+    weights : (..., n) array of nonnegative weights
+
+    Returns
+    -------
+    theta : (..., p) array
+        Minimizer; the least-norm minimizer when the design is rank
+        deficient.
+    condition_flag : (...) bool array
+        True where the standardized design was rank deficient.
+    """
+    y = np.ascontiguousarray(targets, dtype=np.float64)
+    w = np.ascontiguousarray(weights, dtype=np.float64)
+    batch_shape = y.shape[:-1]
+    n, p = np.shape(features)[-2:]
+    yf, wf = y.reshape(-1, n), w.reshape(-1, n)
+
+    design, scaling = _design(features, w)
+    theta_s, condition_flag, solved = design.lstsq(yf, wf)
+    theta = _destandardize(theta_s.reshape(batch_shape + (p,)), *scaling).reshape(-1, p)
+    if not solved.all():
+        # The problems the radial design left unsolved, as expanded arrays.
+        rest = ~solved
+        X = features.basis.expand(features.radii.reshape(-1, n)[rest])
+        dense, dense_scaling = _design(X, wf[rest])
+        theta_s, condition_flag[rest], _ = dense.lstsq(yf[rest], wf[rest])
+        theta[rest] = _destandardize(theta_s, *dense_scaling)
+    return theta.reshape(batch_shape + (p,)), condition_flag.reshape(batch_shape)
+
+
+def wls_fit(sample: WeightedSample) -> FitResult:
+    """Weighted least squares for a single problem."""
+    theta, flag = solve_wls(sample.features, sample.targets, sample.weights)
+    return FitResult(theta=theta, converged=True, iterations=0, condition_flag=bool(flag))
+
+
+# ---------------------------------------------------------------------------
+# Weighted logistic (damped Newton)
+# ---------------------------------------------------------------------------
+
+
+def _penalized_loglik(f, y, w, theta, ridge, pen):
+    """Penalized log-likelihood of ``theta`` given its linear predictor
+    ``f = X theta``, so a caller that already holds ``f`` never contracts
+    ``X`` again."""
+    # y*f - log(1 + e^f) is the pointwise Bernoulli log-likelihood, valid
+    # for fractional targets in [0, 1]. log(1 + e^f) is spelled out as
+    # max(f, 0) + log1p(e^-|f|), which is np.logaddexp(0, f) to within two
+    # ulps at under half its cost: np.exp is vectorized, logaddexp is not.
+    softplus = np.maximum(f, 0.0) + np.log1p(np.exp(-np.abs(f)))
+    ll = (w * (y * f - softplus)).sum(axis=-1)
+    return ll - 0.5 * ridge * ((theta**2) * pen).sum(axis=-1)
 
 
 def _newton(design, y, w, ridge, pen, max_iter, tol):
@@ -570,17 +694,9 @@ def fit_logistic(features, targets, weights, config: LogisticConfig | None = Non
     """
     if config is None:
         config = LogisticConfig()
-    # einsum and BLAS pick their order of summation by memory layout; in C
-    # order a problem's result does not depend on the layout or the batch
-    # position it arrives in.
     y = np.ascontiguousarray(targets, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
-    if isinstance(features, RadialFeatures):
-        design, scaling = _radial_design(features, w)
-    else:
-        X = np.ascontiguousarray(features, dtype=np.float64)
-        Xs, *scaling = _standardize(X, w)
-        design = _DenseDesign(Xs.reshape((-1,) + X.shape[-2:]))
+    design, scaling = _design(features, w)
     scale, center, has_intercept, v0 = scaling
     batch_shape = np.shape(features)[:-2]
     n, p = np.shape(features)[-2:]

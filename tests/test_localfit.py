@@ -505,8 +505,7 @@ class TestRadialDesign:
         assert np.shape(features) == expanded.shape and np.shape(features)[-2] == 9
         assert np.asarray(features).tobytes() == expanded.tobytes()
         y, w = radii[..., ::-1].copy(), np.ones_like(radii)
-        for got, want in zip(solve_wls(features, y, w), solve_wls(expanded, y, w)):
-            assert got.tobytes() == want.tobytes()
+        assert_wls_matches_dense(features, y, w)
 
     def test_offset_radii_converge_with_centered_powers(self):
         # Radii 1e3 + U(0, 0.01): without centering, the power sums cancel
@@ -523,6 +522,125 @@ class TestRadialDesign:
         p_got = expit(np.einsum("...np,...p->...n", features, got[0]))
         p_want = expit(np.einsum("...np,...p->...n", features, want[0]))
         assert np.abs(p_got - p_want).max() <= 1e-8
+
+
+def assert_wls_matches_dense(features, targets, weights):
+    """solve_wls of ``RadialFeatures`` against its solve of the expanded
+    array, as far as rounding can move each problem's fit
+    (``dense_sensitivity``): the fitted values on the weighted rows
+    everywhere, and the coefficients and the rank flag wherever the problem
+    is posed well enough."""
+    expanded = features.basis.expand(features.radii)
+    theta, flag = solve_wls(features, targets, weights)
+    want, want_flag = solve_wls(expanded, targets, weights)
+    sensitivity = dense_sensitivity(expanded, weights)
+    tol = 1e-10 + 1e-12 * sensitivity
+    well_posed = sensitivity <= 1e6
+    assert np.array_equal(flag[well_posed], want_flag[well_posed])
+    y_scale = np.maximum(np.abs(targets).max(axis=-1), 1.0)
+    f_gap = np.abs(np.einsum("...np,...p->...n", expanded, theta - want))
+    assert np.all((f_gap <= (tol * y_scale)[..., None])[weights > 0])
+    # Coefficients in the units of their columns: a column of radii near
+    # 1e-6 squared pins its coefficient only to about eps / 1e-12.
+    col_max = np.abs(np.where(weights[..., None] > 0, expanded, 0.0)).max(axis=-2)
+    gap = (np.abs(theta - want) * col_max)[well_posed]
+    size = (np.abs(want) * col_max)[well_posed].max(axis=-1, keepdims=True)
+    assert np.all(gap <= tol[well_posed][..., None] * size)
+
+
+@st.composite
+def wls_problems(draw):
+    """Radial least-squares batches over radii near 0 or offset up to 1e4,
+    with zero-weight padding rows, some problems with fewer distinct radii
+    than columns, in C or Fortran memory order."""
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        basis = RadialPoly(draw(st.integers(0, 3)))
+    else:
+        basis = RadialEvenPoly(draw(st.integers(1, 2)))
+    offset, width = draw(st.sampled_from([(0.0, 1e-6), (0.0, 2.0), (0.0, 1e6), (1.0, 1.0), (1e2, 1.0), (1e4, 1.0)]))
+    n = draw(st.integers(1, 30))
+    radii = offset + rng.uniform(0.0, width, batch + (n,))
+    if draw(st.booleans()):
+        # Some problems draw their radii from fewer levels than the basis
+        # has columns, so their dense design is rank deficient.
+        levels = offset + rng.uniform(0.0, width, draw(st.integers(1, basis.output_dim)))
+        few = rng.uniform(size=batch) < 0.5
+        radii = np.where(few[..., None], rng.choice(levels, batch + (n,)), radii)
+    active = draw(st.integers(1, n))
+    weights = rng.uniform(0.1, 2.0, batch + (n,))
+    weights[..., active:] = 0.0
+    if draw(st.booleans()):
+        targets = rng.integers(0, 2, batch + (n,)).astype(float)
+    else:
+        targets = rng.normal(size=batch + (n,))
+    if draw(st.booleans()):
+        radii, targets, weights = map(np.asfortranarray, (radii, targets, weights))
+    return RadialFeatures(radii, basis), targets, weights
+
+
+class TestRadialWls:
+    @settings(max_examples=300, deadline=None)
+    @given(wls_problems())
+    def test_solve_matches_dense_route(self, problem):
+        assert_wls_matches_dense(*problem)
+
+    @settings(max_examples=300, deadline=None)
+    @given(wls_problems())
+    def test_column_scaling_matches_dense_moments(self, problem):
+        # The scaling read from power sums against _standardize's moments
+        # of the expanded array. The dense moments lose about eps times how
+        # much larger a column is than its spread.
+        features, _, weights = problem
+        expanded = features.basis.expand(features.radii)
+        got = localfit._radial_design(features, weights)[1]
+        want = localfit._standardize(np.ascontiguousarray(expanded), weights)[1:]
+        assert np.array_equal(got[2], want[2])
+        assert_allclose(got[3], want[3], rtol=1e-13)
+        scale, want_scale = got[0], want[0]
+        col_max = np.abs(np.where(weights[..., None] > 0, expanded, 0.0)).max(axis=-2)
+        tol = 1e-10 + 1e-12 * col_max / want_scale
+        assert np.all(np.abs(scale - want_scale) <= tol * want_scale)
+        assert np.all(np.abs(got[1] - want[1]) <= tol * np.maximum(col_max, 1e-300))
+
+    @settings(max_examples=100, deadline=None)
+    @given(wls_problems())
+    def test_batch_rows_match_single_problem_solves_bitwise(self, problem):
+        features, targets, weights = problem
+        theta, flag = solve_wls(features, targets, weights)
+        for idx in np.ndindex(targets.shape[:-1]):
+            t1, f1 = solve_wls(RadialFeatures(features.radii[idx], features.basis), targets[idx], weights[idx])
+            assert theta[idx].tobytes() == t1.tobytes()
+            assert flag[idx] == f1
+
+    def test_features_expand_only_for_the_dense_fallback(self):
+        # Row 1 has two distinct radii, so its Hankel matrix of power sums
+        # up to u^4 is singular; it alone goes to the dense route.
+        rng = np.random.default_rng(8)
+        radii = rng.uniform(0.0, 2.0, (3, 12))
+        radii[1] = np.repeat([0.5, 1.5], 6)
+        targets = rng.normal(size=(3, 12))
+        weights = rng.uniform(0.1, 2.0, (3, 12))
+        basis = RadialPoly(2)
+
+        def solve(rows):
+            """solve_wls of these rows, and the dense designs it solved."""
+            features = RadialFeatures(radii[rows], basis)
+            dense_lstsq = localfit._DenseDesign.lstsq
+            with mock.patch.object(RadialFeatures, "__array__", side_effect=AssertionError("expanded")):
+                with mock.patch.object(
+                    localfit._DenseDesign, "lstsq", autospec=True, side_effect=dense_lstsq
+                ) as spy:
+                    out = solve_wls(features, targets[rows], weights[rows])
+            return out, [c.args[0] for c in spy.call_args_list]
+
+        _, dense = solve([0, 2])
+        assert dense == []
+        (theta, flag), dense = solve([0, 1, 2])
+        assert len(dense) == 1 and dense[0].X.shape == (1, 12, 3)
+        want, want_flag = solve_wls(basis.expand(radii[1]), targets[1], weights[1])
+        assert theta[1].tobytes() == want.tobytes() and flag[1] == want_flag and flag[1]
 
 
 class TestWeightedSample:
