@@ -9,7 +9,6 @@ backtesting harnesses.
 
 from .core import (
     Dataset,
-    LabeledPoint,
     NeighborProfile,
     as_covariate,
     dtw,
@@ -38,15 +37,10 @@ from .estimators import (
     msknn,
 )
 from .localfit import (
-    FitResult,
     LogisticConfig,
     MultivariatePoly,
     RadialEvenPoly,
     RadialPoly,
-    WeightedSample,
-    evaluate,
-    logistic_fit,
-    wls_fit,
 )
 
 __version__ = "0.1.0"
@@ -58,9 +52,7 @@ __all__ = [
     "Dataset",
     "Estimate",
     "EstimatorSpec",
-    "FitResult",
     "InverseRadius",
-    "LabeledPoint",
     "LogisticConfig",
     "MultivariatePoly",
     "NearestCount",
@@ -68,23 +60,19 @@ __all__ = [
     "RadialEvenPoly",
     "RadialPoly",
     "UniformInBall",
-    "WeightedSample",
     "WithinRadius",
     "as_covariate",
     "classify",
     "dtw",
     "euclidean",
-    "evaluate",
     "get_metric",
     "idtw",
     "kernel_smoother",
     "knn",
-    "logistic_fit",
     "lpolr",
     "lpor",
     "lrr",
     "msknn",
     "profile",
     "strict_floor",
-    "wls_fit",
 ]

@@ -107,6 +107,8 @@ class WalkForwardConfig:
     poly_degree: int = 2
 
     def __post_init__(self):
+        if self.validation_window < 1:
+            raise ParameterError("validation window must be >= 1 month")
         if self.n_train <= self.validation_window:
             raise ParameterError("training window must exceed the validation window")
         if not self.knn_grid or not self.msknn_kmax_grid:

@@ -8,6 +8,7 @@ deterministic given --seed; RADIAL_THREADS caps worker parallelism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import re
 import sys
@@ -32,6 +33,22 @@ def _month(text: str) -> tuple[int, int]:
     return int(match[1]), int(match[2])
 
 
+def _seed(text: str) -> int:
+    """A nonnegative integer seed, for argparse's ``type=``."""
+    with contextlib.suppress(ValueError):
+        if int(text) >= 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer seed, got {text!r}")
+
+
+def _numbers(text: str) -> list[float]:
+    """Comma-separated numbers, for argparse's ``type=``."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="radial",
@@ -41,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench-synthetic", help="synthetic concordance benchmark")
     bench.add_argument("--reps", type=int, default=200)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_seed, default=0)
     bench.add_argument("--out", default=None, help="benchmark CSV path")
     bench.add_argument("--predictions-out", default=None,
                        help="per-query estimate columns for one extra trial")
@@ -52,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--sizes", default="200,400,800,1600,3200,6400,12800",
                       help="comma-separated sample sizes (at least 3)")
     rate.add_argument("--reps", type=int, default=200)
-    rate.add_argument("--seed", type=int, default=0)
+    rate.add_argument("--seed", type=_seed, default=0)
     rate.add_argument("--out", default=None, help="risk-curve CSV path")
 
     zeta = sub.add_parser("zeta", help="guard-statistic concentration experiment")
@@ -60,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     zeta.add_argument("--r-tilde", type=float, default=1.0)
     zeta.add_argument("--sizes", default="10,100,2000", help="comma-separated window sizes")
     zeta.add_argument("--reps", type=int, default=200)
-    zeta.add_argument("--seed", type=int, default=0)
+    zeta.add_argument("--seed", type=_seed, default=0)
     zeta.add_argument("--out", default=None, help="concentration CSV path")
 
     back = sub.add_parser("backtest", help="walk-forward month-end direction backtest")
@@ -71,13 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
     back.add_argument("--test-end", type=_month, default=None, help="YYYY-MM")
     back.add_argument("--train-months", type=int, default=192)
     back.add_argument("--validation-months", type=int, default=24)
-    back.add_argument("--seed", type=int, default=0)
+    back.add_argument("--seed", type=_seed, default=0)
     back.add_argument("--out", default=None, help="ledger CSV path")
 
     est = sub.add_parser("estimate", help="estimate one query's label probability")
     est.add_argument("--train", required=True,
                      help="CSV of rows x_1,...,x_d,y (ragged lengths allowed for dtw/idtw)")
-    est.add_argument("--query", required=True, help="comma-separated query values")
+    est.add_argument("--query", type=_numbers, required=True, help="comma-separated query values")
     est.add_argument("--method", required=True, choices=list(estimators.METHODS))
     est.add_argument("--metric", default="euclidean", choices=sorted(core.METRICS))
     est.add_argument("--params", default="", help="comma-separated key=value pairs; " + "; ".join(
@@ -165,7 +182,7 @@ def _cmd_backtest(parser, args) -> int:
         start = ids[config.n_train]
     if args.test_end:
         end = args.test_end
-    elif default_end in ids and ids.index(default_end) >= ids.index(start):
+    elif default_end in ids and default_end >= start:
         end = default_end
     else:
         end = ids[-1]
@@ -219,10 +236,8 @@ def _cmd_estimate(parser, args) -> int:
     xs = [row[:-1] for row in rows]
     ys = [row[-1] for row in rows]
     data = core.Dataset.from_sequences(xs, ys)
-    query = core.as_covariate([float(v) for v in args.query.split(",")])
-    metric = core.get_metric(args.metric)
-    prof = core.profile(data, metric, query)
-    est = method.single(data, prof, query, **params)
+    prof = core.profile(data, core.get_metric(args.metric), args.query)
+    est = method.estimate(data, prof, args.query, **params)
     label = estimators.classify(est)
     note = " (degree reduced)" if est.diagnostics.fallback_applied else ""
     print(f"estimate={est.value:.4f} class={label} used_points={est.diagnostics.used_points}{note}")

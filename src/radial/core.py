@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,34 +31,20 @@ def as_covariate(values) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    """A covariate paired with a binary label."""
-
-    x: np.ndarray
-    y: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_covariate(self.x))
-        if self.y not in (0, 1):
-            raise DomainError(f"label must be 0 or 1, got {self.y!r}")
-        object.__setattr__(self, "y", int(self.y))
-
-
 class Dataset:
     """Immutable ordered collection of labeled points, stored as arrays.
 
     ``covariates`` is an (n, d) array when every covariate has length d and
     a tuple of 1-d arrays otherwise (variable-length series); :attr:`dim` is
     d in the first case and ``None`` in the second. ``labels`` is an int64
-    array. Iterating yields one :class:`LabeledPoint` per row.
+    array. Build one with :meth:`from_arrays` or :meth:`from_sequences`,
+    which validate their inputs.
     """
 
     __slots__ = ("covariates", "labels")
 
-    def __init__(self, points: Iterable[LabeledPoint]):
-        pts = tuple(points)
-        self._store([p.x for p in pts], [p.y for p in pts])
+    def __init__(self, *args, **kwargs):
+        raise DomainError("build a Dataset with Dataset.from_arrays or Dataset.from_sequences")
 
     def _store(self, xs, y) -> None:
         """Keep validated covariates ``xs`` (a 2-d array or a list of 1-d
@@ -106,9 +92,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    def __iter__(self):
-        return (LabeledPoint(x, int(y)) for x, y in zip(self.covariates, self.labels))
 
 
 @dataclass(frozen=True)

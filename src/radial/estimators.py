@@ -4,9 +4,9 @@ the registry of named methods.
 Every estimator is a local regression over the query's sorted neighbor
 profile, read off at distance zero. Each has one batched kernel that fits
 a :class:`ProfileBatch` of many profiles through the batched solvers of
-:mod:`radial.localfit`; the per-query functions (:func:`knn`, :func:`lrr`,
-...) run their kernel on a batch of one. :data:`METHODS` is the only place
-a method name turns into code.
+:mod:`radial.localfit`. The per-query functions (:func:`knn`, :func:`lrr`,
+...), :class:`EstimatorSpec` and the CLI run the kernel on a batch of one.
+:data:`METHODS` is the only place a method name turns into code.
 
 Every estimator returns an :class:`Estimate` whose ``value`` is the
 estimated probability that the query's label is 1. Polynomial variants may
@@ -55,47 +55,28 @@ class ProfileBatch:
     """Neighbor profiles of ``m`` queries as co-indexed (m, n) arrays.
 
     Row i holds the radii, labels (as floats) and dataset indices of query
-    i's neighbors. Entries where ``valid`` is False pad shorter profiles to
-    the common width and get zero weight; ``valid=None`` means no padding.
-    Rows are nondecreasing in radius, except that a method with
-    :attr:`Method.any_order` reads every point and takes rows in any order.
-    ``covariates`` (the dataset's (N, d) array) and ``queries`` ((m, d))
-    are needed only by the local polynomial kernels.
+    i's neighbors. Rows are nondecreasing in radius, except that a method
+    with :attr:`Method.any_order` reads every point and takes rows in any
+    order. ``covariates`` (the dataset's (N, d) array) and ``queries``
+    ((m, d)) are needed only by the local polynomial kernels.
     """
 
     radii: np.ndarray
     labels: np.ndarray
     index: np.ndarray | None = None
-    valid: np.ndarray | None = None
     covariates: np.ndarray | None = None
     queries: np.ndarray | None = None
 
     @classmethod
-    def stack(cls, profiles: Sequence[NeighborProfile], covariates=None, queries=None) -> "ProfileBatch":
-        """One row per profile; shorter rows are padded at the end with
-        their largest radius and label 0, which keeps the rows sorted."""
-        shape = (len(profiles), max(len(p) for p in profiles))
-        radii, labels = np.zeros(shape), np.zeros(shape)
-        index = np.zeros(shape, dtype=np.int64)
-        valid = np.zeros(shape, dtype=bool)
-        for i, p in enumerate(profiles):
-            n = len(p)
-            radii[i, :n], labels[i, :n], index[i, :n], valid[i, :n] = (
-                p.radii, p.labels, p.source_indices, True
-            )
-            radii[i, n:] = p.radii[-1] if n else 0.0
-        return cls(radii, labels, index, None if valid.all() else valid, covariates, queries)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Number of real (unpadded) entries in each row."""
-        if self.valid is None:
-            return np.full(self.radii.shape[0], self.radii.shape[1])
-        return self.valid.sum(axis=1)
-
-    def mask(self, inside: np.ndarray) -> np.ndarray:
-        """``inside`` with the padding entries cleared."""
-        return inside if self.valid is None else inside & self.valid
+    def of(cls, profile: NeighborProfile, data: Dataset | None = None, query=None) -> "ProfileBatch":
+        """The batch of one query: ``profile`` as (1, n) rows. The dataset's
+        covariates and the query are kept when ``data`` has a fixed
+        dimension."""
+        covariates = queries = None
+        if data is not None and data.dim is not None:
+            covariates, queries = data.covariates, as_covariate(query)[None, :]
+        labels = profile.labels[None, :].astype(np.float64)
+        return cls(profile.radii[None, :], labels, profile.source_indices[None, :], covariates, queries)
 
 
 @dataclass(frozen=True)
@@ -249,7 +230,7 @@ def _fit_by_degree(q_eff, design, logistic: bool, config):
 def _ks(batch: ProfileBatch, h: float) -> BatchEstimate:
     if h <= 0:
         raise ParameterError("bandwidth must be positive")
-    inside = batch.mask(batch.radii <= h)
+    inside = batch.radii <= h
     used = inside.sum(axis=1)
     if np.any(used == 0):
         raise EmptyWindowError(f"no point within bandwidth {h}")
@@ -257,7 +238,7 @@ def _ks(batch: ProfileBatch, h: float) -> BatchEstimate:
 
 
 def _knn(batch: ProfileBatch, k: int) -> BatchEstimate:
-    n = int(batch.counts.min())
+    n = batch.radii.shape[1]
     if not 1 <= k <= n:
         raise ParameterError(f"k must be in [1, {n}], got {k}")
     return BatchEstimate(batch.labels[:, :k].sum(axis=1) / k, k)
@@ -268,7 +249,9 @@ def _local_poly(batch: ProfileBatch, h: float, q: int, logistic: bool, config=No
         raise ParameterError("bandwidth must be positive")
     if q < 0:
         raise ParameterError("degree must be >= 0")
-    inside = batch.mask(batch.radii <= h)
+    if batch.covariates is None or batch.covariates.shape[1] != batch.queries.shape[1]:
+        raise DimensionMismatch("local polynomial fits need fixed-dimension covariates")
+    inside = batch.radii <= h
     used = inside.sum(axis=1)
     if np.any(used == 0):
         raise EmptyWindowError(f"no point within bandwidth {h}")
@@ -290,7 +273,7 @@ _MSKNN_LOSSES = {"poly": ("squared",), "logi": ("logistic", "logit_squared")}
 
 def _msknn(batch: ProfileBatch, k_vec, q: int, regression: str, loss: str, config=None) -> BatchEstimate:
     k_vec = [int(k) for k in k_vec]
-    n = int(batch.counts.min())
+    n = batch.radii.shape[1]
     if any(k2 <= k1 for k1, k2 in zip(k_vec, k_vec[1:])) or not k_vec:
         raise ParameterError("k_vec must be strictly increasing and nonempty")
     if k_vec[0] < 1 or k_vec[-1] > n:
@@ -329,7 +312,7 @@ def _lrr(
         raise ParameterError(f"loss must be 'squared' or 'logistic', got {loss!r}")
     if q < 0:
         raise ParameterError("degree must be >= 0")
-    inside = batch.mask(scope.select(batch.radii))
+    inside = scope.select(batch.radii)
     weights = weight_fn(batch.radii, inside)
     n_pos = (weights > 0).sum(axis=1)
     if np.any(n_pos == 0):
@@ -358,24 +341,17 @@ def _lrr(
 
 def kernel_smoother(profile: NeighborProfile, h: float) -> Estimate:
     """Mean label over the ball of radius ``h`` around the query (boxcar)."""
-    return _ks(ProfileBatch.stack([profile]), h)[0]
+    return _ks(ProfileBatch.of(profile), h)[0]
 
 
 def knn(profile: NeighborProfile, k: int) -> Estimate:
     """Mean label of the k nearest points."""
-    return _knn(ProfileBatch.stack([profile]), k)[0]
-
-
-def _with_covariates(data: Dataset, profile: NeighborProfile, query) -> ProfileBatch:
-    query = as_covariate(query)
-    if data.dim is None or data.dim != query.shape[0]:
-        raise DimensionMismatch("local polynomial fits need fixed-dimension covariates")
-    return ProfileBatch.stack([profile], data.covariates, query[None, :])
+    return _knn(ProfileBatch.of(profile), k)[0]
 
 
 def lpor(data: Dataset, profile: NeighborProfile, query, h: float, q: int) -> Estimate:
     """Local polynomial fit of the labels on covariate offsets; value at offset 0."""
-    return _local_poly(_with_covariates(data, profile, query), h, q, False)[0]
+    return _local_poly(ProfileBatch.of(profile, data, query), h, q, False)[0]
 
 
 def lpolr(
@@ -387,7 +363,7 @@ def lpolr(
     config: LogisticConfig | None = None,
 ) -> Estimate:
     """Logistic variant of :func:`lpor`; value is sigmoid of the intercept."""
-    return _local_poly(_with_covariates(data, profile, query), h, q, True, config)[0]
+    return _local_poly(ProfileBatch.of(profile, data, query), h, q, True, config)[0]
 
 
 def msknn(
@@ -406,7 +382,7 @@ def msknn(
     pairs with either the logistic loss on the fractional k-NN targets or
     the squared loss on their logit transforms (``loss="logit_squared"``).
     """
-    return _msknn(ProfileBatch.stack([profile]), k_vec, q, regression, loss, config)[0]
+    return _msknn(ProfileBatch.of(profile), k_vec, q, regression, loss, config)[0]
 
 
 def lrr(
@@ -424,7 +400,7 @@ def lrr(
     sigmoid of the intercept (the logistic variant of the method). With
     ``even=True`` the basis uses even powers 1, r^2, ..., r^(2q).
     """
-    return _lrr(ProfileBatch.stack([profile]), weight_fn, q, loss, scope, even, config)[0]
+    return _lrr(ProfileBatch.of(profile), weight_fn, q, loss, scope, even, config)[0]
 
 
 def classify(estimate):
@@ -480,9 +456,8 @@ _WEIGHT = _choice("weight", "constant_one", constant_one=ConstantOne(), inverse_
 
 @dataclass(frozen=True)
 class Method:
-    """A named estimator: its declared parameters, the per-query call
-    ``single(data, profile, query, **params)`` and the batched kernel call
-    ``batch(profile_batch, **params)``.
+    """A named estimator: its declared parameters and its batched kernel
+    call ``batch(profile_batch, **params)``.
 
     ``any_order`` marks methods that read every point of a profile, so
     their batch rows may come in any order.
@@ -490,9 +465,13 @@ class Method:
 
     kind: str
     params: tuple[Param, ...]
-    single: Callable[..., Estimate]
     batch: Callable[..., BatchEstimate]
     any_order: bool = False
+
+    def estimate(self, data: Dataset, profile: NeighborProfile, query, **params) -> Estimate:
+        """One query's estimate, from parameters that :meth:`resolve`
+        returned: the kernel run on the batch of one."""
+        return self.batch(ProfileBatch.of(profile, data, query), **params)[0]
 
     def resolve(self, given: dict) -> dict:
         """The method's parameters from ``given`` (values or their text),
@@ -521,28 +500,17 @@ class Method:
 
 
 METHODS: dict[str, Method] = {m.kind: m for m in (
-    Method("ks", (_H,),
-           lambda data, prof, query, h: kernel_smoother(prof, h), _ks),
-    Method("knn", (_K,),
-           lambda data, prof, query, k: knn(prof, k), _knn),
-    Method("lpor", (_H, _Q),
-           lambda data, prof, query, h, q: lpor(data, prof, query, h, q),
-           lambda batch, h, q: _local_poly(batch, h, q, False)),
-    Method("lpolr", (_H, _Q),
-           lambda data, prof, query, h, q: lpolr(data, prof, query, h, q),
-           lambda batch, h, q: _local_poly(batch, h, q, True)),
+    Method("ks", (_H,), _ks),
+    Method("knn", (_K,), _knn),
+    Method("lpor", (_H, _Q), lambda batch, h, q: _local_poly(batch, h, q, False)),
+    Method("lpolr", (_H, _Q), lambda batch, h, q: _local_poly(batch, h, q, True)),
     Method("msknn-poly", (_K_VEC, _Q),
-           lambda data, prof, query, k_vec, q: msknn(prof, k_vec, q, "poly", "squared"),
            lambda batch, k_vec, q: _msknn(batch, k_vec, q, "poly", "squared")),
     Method("msknn-logi", (_K_VEC, _Q, _choice("loss", "logistic", logistic="logistic", logit_squared="logit_squared")),
-           lambda data, prof, query, k_vec, q, loss: msknn(prof, k_vec, q, "logi", loss),
            lambda batch, k_vec, q, loss: _msknn(batch, k_vec, q, "logi", loss)),
     Method("lrr", (_WEIGHT, _Q, _choice("loss", "squared", squared="squared", logistic="logistic")),
-           lambda data, prof, query, weight, q, loss: lrr(prof, weight, q, loss),
            lambda batch, weight, q, loss: _lrr(batch, weight, q, loss), any_order=True),
-    Method("lrlr", (_WEIGHT, _Q),
-           lambda data, prof, query, weight, q: lrr(prof, weight, q, "logistic"),
-           lambda batch, weight, q: _lrr(batch, weight, q, "logistic"), any_order=True),
+    Method("lrlr", (_WEIGHT, _Q), lambda batch, weight, q: _lrr(batch, weight, q, "logistic"), any_order=True),
 )}
 
 
@@ -562,4 +530,4 @@ class EstimatorSpec:
 
     def apply(self, data: Dataset, profile: NeighborProfile, query) -> Estimate:
         method = get_method(self.kind)
-        return method.single(data, profile, query, **method.resolve(self.params))
+        return method.estimate(data, profile, query, **method.resolve(self.params))

@@ -37,7 +37,7 @@ from math import comb
 import numpy as np
 from scipy.special import expit
 
-from .errors import DimensionMismatch, DomainError, ParameterError
+from .errors import DimensionMismatch, ParameterError
 
 # A fit whose coefficient norm exceeds this is treated as separated and
 # refit once with the escalated ridge.
@@ -165,7 +165,6 @@ class RadialEvenPoly:
 
 
 RadialBasis = RadialPoly | RadialEvenPoly
-FeatureMap = MultivariatePoly | RadialBasis
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,63 +190,6 @@ class RadialFeatures:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.basis.expand(self.radii), dtype=dtype)
-
-
-def evaluate(feature_map: FeatureMap, theta, x) -> float | np.ndarray:
-    """Basis expansion of ``x`` dotted with ``theta`` (no link function)."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape[-1] != feature_map.output_dim:
-        raise DimensionMismatch(
-            f"theta has length {theta.shape[-1]}, basis has {feature_map.output_dim}"
-        )
-    phi = feature_map.expand(x)
-    out = phi @ theta
-    return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# Problem containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """Rows of basis values with targets and nonnegative weights."""
-
-    features: np.ndarray
-    targets: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        F = np.asarray(self.features, dtype=np.float64)
-        t = np.asarray(self.targets, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if F.ndim != 2:
-            raise DimensionMismatch("features must be a 2-d matrix")
-        if t.shape != (F.shape[0],) or w.shape != (F.shape[0],):
-            raise DimensionMismatch("targets and weights must have one entry per feature row")
-        if np.any(w < 0):
-            raise DomainError("weights must be nonnegative")
-        if not np.any(w > 0):
-            raise DomainError("at least one weight must be positive")
-        object.__setattr__(self, "features", F)
-        object.__setattr__(self, "targets", t)
-        object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    theta: np.ndarray
-    converged: bool
-    iterations: int
-    condition_flag: bool
-
-
-@dataclass(frozen=True)
-class LogisticConfig:
-    max_iter: int = 100
-    tol: float = 1e-8
-    ridge: float = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -562,15 +504,16 @@ def solve_wls(features, targets, weights):
     return theta.reshape(batch_shape + (p,)), condition_flag.reshape(batch_shape)
 
 
-def wls_fit(sample: WeightedSample) -> FitResult:
-    """Weighted least squares for a single problem."""
-    theta, flag = solve_wls(sample.features, sample.targets, sample.weights)
-    return FitResult(theta=theta, converged=True, iterations=0, condition_flag=bool(flag))
-
-
 # ---------------------------------------------------------------------------
 # Weighted logistic (damped Newton)
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LogisticConfig:
+    max_iter: int = 100
+    tol: float = 1e-8
+    ridge: float = 1e-8
 
 
 def _penalized_loglik(f, y, w, theta, ridge, pen):
@@ -737,17 +680,3 @@ def fit_logistic(features, targets, weights, config: LogisticConfig | None = Non
         iterations.reshape(batch_shape),
     )
 
-
-def logistic_fit(sample: WeightedSample, config: LogisticConfig | None = None) -> FitResult:
-    """Weighted logistic maximum likelihood for a single problem."""
-    if np.any(sample.targets < 0) or np.any(sample.targets > 1):
-        raise DomainError("logistic targets must lie in [0, 1]")
-    theta, converged, iterations = fit_logistic(
-        sample.features, sample.targets, sample.weights, config
-    )
-    return FitResult(
-        theta=theta,
-        converged=bool(converged),
-        iterations=int(iterations),
-        condition_flag=False,
-    )

@@ -330,6 +330,8 @@ def zeta_concentration(
     """
     if reps < 2:
         raise ParameterError("reps must be >= 2 to report a standard deviation")
+    if r_tilde <= 0:
+        raise ParameterError("cutoff radius must be positive")
     root = np.random.SeedSequence(rng_seed)
     rows = []
     for n, seed in zip(n_values, root.spawn(len(list(n_values)))):

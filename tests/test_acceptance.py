@@ -12,7 +12,7 @@ import pytest
 from radial import backtest as bt
 from radial import core, estimators, synthlab as sl, theorylab as tl
 from radial.cli import main
-from radial.localfit import RadialPoly, WeightedSample, logistic_fit
+from radial.localfit import RadialPoly, fit_logistic
 
 from test_backtest import RecordingHistory, period2_history
 
@@ -183,7 +183,7 @@ def test_criterion_6_estimator_identities():
         feats = RadialPoly(2).expand(rng.uniform(0, 2, n))
         y = rng.integers(0, 2, n).astype(float)
         w = rng.uniform(0.3, 2.0, n)
-        theta = logistic_fit(WeightedSample(feats, y, w)).theta
+        theta = fit_logistic(feats, y, w)[0]
 
         def loglik(th):
             f = feats @ th

@@ -313,6 +313,16 @@ class TestWalkForward:
         with pytest.raises(ParameterError):
             bt.walk_forward_predict(labeled, start, start, "oracle")
 
+    def test_validation_window_below_one_rejected(self):
+        for window in (0, -1):
+            with pytest.raises(ParameterError):
+                bt.WalkForwardConfig(validation_window=window)
+
+    def test_test_month_after_history_rejected(self):
+        labeled = period2_history(200)
+        with pytest.raises(ConfigurationError):
+            bt.walk_forward_predict(labeled, (2030, 1), labeled[-1].block.month_id, "knn")
+
 
 class TestLeakage:
     def test_tuning_and_prediction_read_only_past_months(self):

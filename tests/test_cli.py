@@ -272,7 +272,16 @@ def exit_status(argv):
     return code, err.getvalue()
 
 
+@pytest.fixture(scope="module")
+def ragged_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "ragged.csv"
+    path.write_text("1.0,2.0,1\n1.0,2.0,3.0,0\n2.0,1.0,1\n")
+    return str(path)
+
+
 ESTIMATE = ["estimate", "--query", "0,0", "--train"]
+RAGGED = "<ragged training file>"
+BUY = ["backtest", "--input", "builtin", "--method", "buy"]
 
 
 @pytest.mark.parametrize("argv, code, needle", [
@@ -280,14 +289,30 @@ ESTIMATE = ["estimate", "--query", "0,0", "--train"]
     (["--method", "knn", "--params", "k=abc"], 2, "must be an integer"),
     (["--method", "msknn-poly", "--params", "k_vec=1:x"], 2, "integers separated by ':'"),
     (["--method", "lrr", "--params", "weight=boxcar"], 2, "constant_one, inverse_r"),
-    (["backtest", "--input", "builtin", "--method", "buy", "--test-start", "2007"], 2, "YYYY-MM"),
+    (BUY + ["--test-start", "2007"], 2, "YYYY-MM"),
     (["zeta", "--d", "0", "--reps", "2"], 1, "dimension must be >= 1"),
     (["--method", "ks", "--params", "h=1,a\x85b=2"], 2, "unknown parameter 'a\\x85b'"),
+    (["estimate", "--query", "1,2", "--metric", "dtw", "--method", "lpor", "--params", "h=5",
+      "--train", RAGGED], 1, "fixed-dimension covariates"),
+    (["bench-synthetic", "--reps", "1", "--seed", "-1"], 2, "nonnegative integer seed"),
+    (["rate", "--reps", "1", "--seed", "-1"], 2, "nonnegative integer seed"),
+    (["zeta", "--reps", "2", "--seed", "-1"], 2, "nonnegative integer seed"),
+    (BUY + ["--seed", "-1"], 2, "nonnegative integer seed"),
+    (["--method", "knn", "--params", "k=1", "--query", "0.1,x"], 2, "comma-separated numbers"),
+    (["--method", "knn", "--params", "k=1", "--query", ""], 2, "comma-separated numbers"),
+    (BUY + ["--test-start", "2030-01"], 1, "not present in the labeled history"),
+    (BUY + ["--validation-months", "0"], 1, "validation window must be >= 1"),
+    (["zeta", "--reps", "2", "--r-tilde", "-1"], 1, "cutoff radius must be positive"),
+    (["zeta", "--reps", "2", "--r-tilde", "0"], 1, "cutoff radius must be positive"),
 ], ids=["ks-without-h", "k-not-int", "k_vec-not-int", "unknown-weight", "bad-month", "zeta-d0",
-        "unknown-name-with-line-break"])
-def test_bad_input_exits_with_one_line(train_csv, argv, code, needle):
+        "unknown-name-with-line-break", "lpor-on-ragged-rows", "bench-negative-seed",
+        "rate-negative-seed", "zeta-negative-seed", "backtest-negative-seed", "query-not-numbers",
+        "query-empty", "test-start-after-history", "validation-months-0", "zeta-negative-r-tilde",
+        "zeta-zero-r-tilde"])
+def test_bad_input_exits_with_one_line(train_csv, ragged_csv, argv, code, needle):
     if argv[0] == "--method":
         argv = ESTIMATE + [train_csv] + argv
+    argv = [ragged_csv if a == RAGGED else a for a in argv]
     got, err = exit_status(argv)
     assert got == code
     assert len(err.splitlines()) == 1 and "error: " in err and needle in err

@@ -126,7 +126,7 @@ class TestProfile:
 class TestDomainTypes:
     def test_labels_restricted(self):
         with pytest.raises(DomainError):
-            core.LabeledPoint([1.0], 2)
+            core.Dataset.from_arrays([[1.0]], [2])
 
     def test_fractional_labels_rejected(self):
         with pytest.raises(DomainError):
@@ -141,6 +141,8 @@ class TestDomainTypes:
             core.as_covariate([1.0, np.inf])
 
     def test_dataset_nonempty(self):
+        with pytest.raises(DomainError):
+            core.Dataset.from_sequences([], [])
         with pytest.raises(DomainError):
             core.Dataset([])
 
@@ -177,8 +179,10 @@ def test_get_metric():
 def test_dtw_fallback_without_numba():
     # radial needs no numba: with it blocked, the package imports and the
     # distances keep their values.
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
     script = (
         "import sys; sys.modules['numba'] = None\n"
@@ -186,7 +190,10 @@ def test_dtw_fallback_without_numba():
         "assert core.dtw([1, 3], [1, 2, 3]) == 1.0\n"
         "assert core.idtw([2, 4], [1, 2]) == 0.0\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    # The child imports radial from the same src directory as this test.
+    src = str(Path(core.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
 

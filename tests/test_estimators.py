@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from radial import core, estimators, theorylab
-from radial.errors import EmptyWindowError, ParameterError
+from radial.errors import DimensionMismatch, EmptyWindowError, ParameterError
 from radial.estimators import (
     AllPoints,
     ConstantOne,
@@ -116,6 +116,21 @@ class TestLocalPoly:
         # degree 5 needs 6 > 3 points: reduced until it fits
         est = lpor(data, prof, [0.0], 2.0, 5)
         assert est.diagnostics.fallback_applied
+
+
+@pytest.mark.parametrize("data, query", [
+    (core.Dataset.from_sequences([[1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 1.0]], [0, 1, 1]), [1.0, 2.0]),
+    (core.Dataset.from_arrays([[1.0, 2.0, 3.0], [2.0, 1.0, 3.0], [1.0, 1.0, 1.0]], [0, 1, 1]), [1.0, 2.0]),
+], ids=["ragged", "query-of-another-length"])
+def test_local_poly_needs_fixed_dimension_covariates(data, query):
+    prof = core.profile(data, core.dtw, query)
+    for fit in (
+        lambda: lpor(data, prof, query, 10.0, 1),
+        lambda: lpolr(data, prof, query, 10.0, 1),
+        lambda: estimators.EstimatorSpec("lpor", {"h": 10.0}).apply(data, prof, query),
+    ):
+        with pytest.raises(DimensionMismatch, match="fixed-dimension"):
+            fit()
 
 
 class TestLocalPolyLogistic:

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 from radial import localfit
-from radial.errors import DimensionMismatch, DomainError, ParameterError
+from radial.errors import ParameterError
 from radial.localfit import (
     SEPARATION_NORM,
     LogisticConfig,
@@ -16,12 +16,8 @@ from radial.localfit import (
     RadialEvenPoly,
     RadialFeatures,
     RadialPoly,
-    WeightedSample,
-    evaluate,
     fit_logistic,
-    logistic_fit,
     solve_wls,
-    wls_fit,
 )
 
 
@@ -44,17 +40,13 @@ class TestFeatureMaps:
         assert RadialEvenPoly(2).output_dim == 3
 
     def test_evaluate_radial_at_zero(self):
-        assert evaluate(RadialPoly(2), [0.3, -1.0, 5.0], 0.0) == 0.3
+        assert RadialPoly(2).expand(0.0) @ [0.3, -1.0, 5.0] == 0.3
 
     def test_evaluate_multivariate(self):
-        assert evaluate(MultivariatePoly(1, 2), [1.0, 2.0, 3.0], [1.0, 1.0]) == 6.0
+        assert MultivariatePoly(1, 2).expand([1.0, 1.0]) @ [1.0, 2.0, 3.0] == 6.0
 
     def test_evaluate_even(self):
-        assert_allclose(evaluate(RadialEvenPoly(1), [0.5, -0.1], 2.0), 0.1)
-
-    def test_evaluate_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            evaluate(RadialPoly(2), [1.0, 2.0], 1.0)
+        assert_allclose(RadialEvenPoly(1).expand(2.0) @ [0.5, -0.1], 0.1)
 
     def test_even_basis_values(self):
         assert_allclose(RadialEvenPoly(2).expand(2.0), [1.0, 4.0, 16.0])
@@ -76,17 +68,17 @@ class TestFeatureMaps:
 class TestWls:
     def test_exact_line(self):
         feats = RadialPoly(1).expand(np.array([1.0, 2.0, 3.0]))
-        fit = wls_fit(WeightedSample(feats, [1.0, 2.0, 3.0], np.ones(3)))
-        assert_allclose(fit.theta, [0.0, 1.0], atol=1e-12)
-        assert not fit.condition_flag
+        theta, flag = solve_wls(feats, [1.0, 2.0, 3.0], np.ones(3))
+        assert_allclose(theta, [0.0, 1.0], atol=1e-12)
+        assert not flag
 
     def test_constant_mean(self):
-        fit = wls_fit(WeightedSample(np.ones((3, 1)), [1.0, 0.0, 1.0], np.ones(3)))
-        assert_allclose(fit.theta, [2.0 / 3.0])
+        theta, _ = solve_wls(np.ones((3, 1)), [1.0, 0.0, 1.0], np.ones(3))
+        assert_allclose(theta, [2.0 / 3.0])
 
     def test_weighted_mean(self):
-        fit = wls_fit(WeightedSample(np.ones((2, 1)), [1.0, 0.0], [3.0, 1.0]))
-        assert_allclose(fit.theta, [0.75])
+        theta, _ = solve_wls(np.ones((2, 1)), [1.0, 0.0], [3.0, 1.0])
+        assert_allclose(theta, [0.75])
 
     def test_rank_deficient_least_norm(self):
         # duplicated column: solutions (a, b) with a + b = 1; least norm is (1/2, 1/2)
@@ -158,18 +150,18 @@ class TestWls:
 
 class TestLogistic:
     def test_constant_mle(self):
-        fit = logistic_fit(WeightedSample(np.ones((3, 1)), [1.0, 0.0, 1.0], np.ones(3)))
-        assert fit.converged
-        assert_allclose(fit.theta[0], np.log(2.0), atol=1e-6)
+        theta, converged, _ = fit_logistic(np.ones((3, 1)), [1.0, 0.0, 1.0], np.ones(3))
+        assert converged
+        assert_allclose(theta[0], np.log(2.0), atol=1e-6)
 
     def test_half_targets_give_null_model(self):
         feats = RadialPoly(2).expand(np.array([0.5, 1.0, 1.5, 2.0]))
-        fit = logistic_fit(WeightedSample(feats, np.full(4, 0.5), np.ones(4)))
-        assert_allclose(fit.theta, 0.0, atol=1e-9)
+        theta, _, _ = fit_logistic(feats, np.full(4, 0.5), np.ones(4))
+        assert_allclose(theta, 0.0, atol=1e-9)
 
     def test_weighted_mle(self):
-        fit = logistic_fit(WeightedSample(np.ones((2, 1)), [1.0, 0.0], [3.0, 1.0]))
-        assert_allclose(expit(fit.theta[0]), 0.75, atol=1e-6)
+        theta, _, _ = fit_logistic(np.ones((2, 1)), [1.0, 0.0], [3.0, 1.0])
+        assert_allclose(expit(theta[0]), 0.75, atol=1e-6)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -179,8 +171,7 @@ class TestLogistic:
             feats = RadialPoly(2).expand(r)
             y = rng.integers(0, 2, n).astype(float)
             w = rng.uniform(0.2, 2.0, size=n)
-            fit = logistic_fit(WeightedSample(feats, y, w))
-            theta = fit.theta
+            theta, _, _ = fit_logistic(feats, y, w)
             pr = expit(feats @ theta)
             grad = feats.T @ (w * (y - pr))
             h = 1e-6
@@ -196,33 +187,27 @@ class TestLogistic:
         r = rng.uniform(0, 2, size=200)
         feats = RadialPoly(2).expand(r)
         targets = expit(feats @ theta_star)
-        fit = logistic_fit(
-            WeightedSample(feats, targets, np.ones(200)), LogisticConfig(ridge=0.0)
-        )
-        assert fit.converged
-        assert_allclose(fit.theta, theta_star, atol=1e-4)
+        theta, converged, _ = fit_logistic(feats, targets, np.ones(200), LogisticConfig(ridge=0.0))
+        assert converged
+        assert_allclose(theta, theta_star, atol=1e-4)
 
     def test_saturated_fit_stays_finite(self):
-        fit = logistic_fit(WeightedSample(np.ones((5, 1)), np.ones(5), np.ones(5)))
-        assert np.isfinite(fit.theta).all()
-        assert expit(fit.theta[0]) > 0.99
+        theta, _, _ = fit_logistic(np.ones((5, 1)), np.ones(5), np.ones(5))
+        assert np.isfinite(theta).all()
+        assert expit(theta[0]) > 0.99
 
     def test_separation_is_ridged(self):
         # perfectly separable in r: untamed coefficients would diverge
         r = np.array([0.1, 0.2, 0.3, 1.1, 1.2, 1.3])
         y = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-        fit = logistic_fit(WeightedSample(RadialPoly(1).expand(r), y, np.ones(6)))
-        assert np.isfinite(fit.theta).all()
-        assert np.linalg.norm(fit.theta) < 1e4
+        theta, _, _ = fit_logistic(RadialPoly(1).expand(r), y, np.ones(6))
+        assert np.isfinite(theta).all()
+        assert np.linalg.norm(theta) < 1e4
 
     def test_fractional_targets_accepted(self):
         feats = RadialPoly(1).expand(np.array([1.0, 2.0, 3.0]))
-        fit = logistic_fit(WeightedSample(feats, [0.4, 0.5, 0.6], np.ones(3)))
-        assert fit.converged
-
-    def test_targets_outside_unit_interval_rejected(self):
-        with pytest.raises(DomainError):
-            logistic_fit(WeightedSample(np.ones((2, 1)), [1.5, 0.0], np.ones(2)))
+        _, converged, _ = fit_logistic(feats, [0.4, 0.5, 0.6], np.ones(3))
+        assert converged
 
     def test_batched_matches_looped(self):
         rng = np.random.default_rng(8)
@@ -641,20 +626,6 @@ class TestRadialWls:
         assert len(dense) == 1 and dense[0].X.shape == (1, 12, 3)
         want, want_flag = solve_wls(basis.expand(radii[1]), targets[1], weights[1])
         assert theta[1].tobytes() == want.tobytes() and flag[1] == want_flag and flag[1]
-
-
-class TestWeightedSample:
-    def test_rejects_negative_weights(self):
-        with pytest.raises(DomainError):
-            WeightedSample(np.ones((2, 1)), [0.0, 1.0], [-1.0, 1.0])
-
-    def test_rejects_all_zero_weights(self):
-        with pytest.raises(DomainError):
-            WeightedSample(np.ones((2, 1)), [0.0, 1.0], [0.0, 0.0])
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            WeightedSample(np.ones((2, 1)), [0.0, 1.0, 1.0], [1.0, 1.0])
 
 
 def test_feature_maps_reject_bad_params():

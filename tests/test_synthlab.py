@@ -70,8 +70,9 @@ class TestGenerateTrial:
         cfg = sl.SyntheticConfig(n_train=50, n_test=20, reps=1, rng_seed=0)
         train_a, test_a, eta_a = sl.generate_trial(cfg, np.random.default_rng(42))
         train_b, test_b, eta_b = sl.generate_trial(cfg, np.random.default_rng(42))
-        assert all(np.array_equal(p.x, q.x) and p.y == q.y for p, q in zip(train_a, train_b))
-        assert all(np.array_equal(p.x, q.x) and p.y == q.y for p, q in zip(test_a, test_b))
+        for a, b in ((train_a, train_b), (test_a, test_b)):
+            assert np.array_equal(a.covariates, b.covariates)
+            assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(eta_a, eta_b)
 
     def test_label_law_at_fixed_point(self):
@@ -206,28 +207,3 @@ class TestBatchedMatchesPerQuery:
     def test_lrlr(self):
         for name in ("lrlr_w1", "lrlr_winv"):
             self.check(name, atol=1e-5)
-
-    def test_padded_rows(self):
-        # Profiles over growing prefixes of the training set have different
-        # lengths, so the stacked batch pads every row but the longest.
-        sizes = (52, 60, 70, 55)
-        queries = self.arrays.test_x[: len(sizes)]
-        subsets = [
-            core.Dataset.from_arrays(self.arrays.train_x[:n], self.arrays.train_y[:n]) for n in sizes
-        ]
-        profiles = [core.profile(d, core.euclidean, q) for d, q in zip(subsets, queries)]
-        batch = estimators.ProfileBatch.stack(profiles, self.arrays.train_x, queries)
-        assert batch.valid is not None and not batch.valid.all()
-        for name, atol in (("ks_h0.4", 0.0), ("knn_k50", 0.0), ("msknn_poly", 0.0),
-                           ("msknn_logi", 0.0), ("lpor_h0.4", 1e-5), ("lpolr_h0.4", 1e-5),
-                           ("lrr_winv", 1e-5), ("lrlr_w1", 1e-5)):
-            method = self.methods[name]
-            entry = estimators.METHODS[method.kind]
-            params = entry.resolve(method.params)
-            batched = entry.batch(batch, **params).values
-            for i, (data, prof) in enumerate(zip(subsets, profiles)):
-                single = entry.single(data, prof, queries[i], **params).value
-                if atol:
-                    assert_allclose(batched[i], single, atol=atol, err_msg=name)
-                else:
-                    assert batched[i] == single, name

@@ -166,6 +166,11 @@ class TestZetaConcentration:
         with pytest.raises(ParameterError):
             tl.zeta_concentration(0, 1.0, [10], 2, 0)
 
+    def test_nonpositive_cutoff_rejected(self):
+        for r_tilde in (0.0, -1.0):
+            with pytest.raises(ParameterError):
+                tl.zeta_concentration(2, r_tilde, [10], 2, 0)
+
     def test_cutoff_scale_invariance(self):
         a = tl.zeta_concentration(2, 1.0, [100], reps=50, rng_seed=5)
         b = tl.zeta_concentration(2, 17.0, [100], reps=50, rng_seed=5)
