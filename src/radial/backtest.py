@@ -24,7 +24,7 @@ import numpy as np
 from . import estimators
 # idtw stays importable here: bench/radbench/layers.py traces the
 # radial.backtest.idtw binding.
-from .core import idtw, idtw_pairs  # noqa: F401
+from .core import idtw, idtw_pairs, stable_argsort  # noqa: F401
 from .errors import ConfigurationError, DomainError, ParameterError, ParseError
 
 MonthId = tuple[int, int]
@@ -299,7 +299,7 @@ class _WalkDistances:
             rows, cols = rows + queries.start, cols + pool.start
             values = idtw_pairs([self.closes[i] for i in rows], [self.closes[j] for j in cols])
             self.dist[rows, cols] = self.dist[cols, rows] = values
-        order = np.argsort(block, axis=1, kind="stable")
+        order = stable_argsort(block)
         return estimators.ProfileBatch(
             radii=np.take_along_axis(block, order, axis=1),
             labels=self.labels[pool.start:pool.stop][order],

@@ -129,7 +129,7 @@ class Boxcar:
     h: float
 
     def __post_init__(self):
-        if self.h <= 0:
+        if not self.h > 0:
             raise ParameterError("bandwidth must be positive")
 
     def __call__(self, radii: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -143,7 +143,7 @@ class UniformInBall:
     r_tilde: float
 
     def __post_init__(self):
-        if self.r_tilde <= 0:
+        if not self.r_tilde > 0:
             raise ParameterError("cutoff radius must be positive")
 
     def __call__(self, radii: np.ndarray, inside: np.ndarray) -> np.ndarray:
@@ -228,7 +228,7 @@ def _fit_by_degree(q_eff, design, logistic: bool, config):
 
 
 def _ks(batch: ProfileBatch, h: float) -> BatchEstimate:
-    if h <= 0:
+    if not h > 0:
         raise ParameterError("bandwidth must be positive")
     inside = batch.radii <= h
     used = inside.sum(axis=1)
@@ -245,7 +245,7 @@ def _knn(batch: ProfileBatch, k: int) -> BatchEstimate:
 
 
 def _local_poly(batch: ProfileBatch, h: float, q: int, logistic: bool, config=None) -> BatchEstimate:
-    if h <= 0:
+    if not h > 0:
         raise ParameterError("bandwidth must be positive")
     if q < 0:
         raise ParameterError("degree must be >= 0")

@@ -24,7 +24,12 @@ are two designs:
   scaling is read from the same power sums, so the expanded array is
   formed only for a least-squares problem whose K is too ill-conditioned.
 
-The logistic solver is one damped-Newton loop over either design.
+The logistic solver is one damped-Newton loop over either design. It
+scores a candidate from its linear predictor f = X theta in one pass over
+the rows, where one exp(-|f|) yields both the softplus of the likelihood
+and the sigmoid of the next gradient; the accepted candidate's f and
+probabilities carry into the next iteration, so the loop never recomputes
+X theta.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionMismatch, ParameterError
 
@@ -516,17 +520,45 @@ class LogisticConfig:
     ridge: float = 1e-8
 
 
-def _penalized_loglik(f, y, w, theta, ridge, pen):
+def _softplus_sigmoid(f):
+    """log(1 + e^f) and 1 / (1 + e^-f), elementwise, from one exp.
+
+    With e = e^-|f|, the softplus is max(f, 0) + log1p(e), which is
+    ``np.logaddexp(0, f)`` to within two ulps at under half its cost
+    (np.exp is vectorized, logaddexp is not), and the sigmoid is 1 / (1 + e)
+    where f >= 0 and e / (1 + e) elsewhere, which is scipy's ``expit`` to
+    within a few ulps at a fifth of its cost. Neither overflows, and e is
+    not held past the sigmoid.
+    """
+    e = np.abs(f)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    softplus = np.log1p(e)
+    softplus += np.maximum(f, 0.0)
+    # e <= 1, so this is 1 where f >= 0 and e elsewhere, without the
+    # branches of a masked copy.
+    sigmoid = np.maximum(e, f >= 0)
+    e += 1.0
+    sigmoid /= e
+    return softplus, sigmoid
+
+
+def _evaluate(f, y, w, theta, ridge, pen):
     """Penalized log-likelihood of ``theta`` given its linear predictor
-    ``f = X theta``, so a caller that already holds ``f`` never contracts
-    ``X`` again."""
-    # y*f - log(1 + e^f) is the pointwise Bernoulli log-likelihood, valid
-    # for fractional targets in [0, 1]. log(1 + e^f) is spelled out as
-    # max(f, 0) + log1p(e^-|f|), which is np.logaddexp(0, f) to within two
-    # ulps at under half its cost: np.exp is vectorized, logaddexp is not.
-    softplus = np.maximum(f, 0.0) + np.log1p(np.exp(-np.abs(f)))
-    ll = (w * (y * f - softplus)).sum(axis=-1)
-    return ll - 0.5 * ridge * ((theta**2) * pen).sum(axis=-1)
+    ``f = X theta``, and the probabilities s(f), so a caller that holds
+    ``f`` never contracts ``X`` again.
+
+    y*f - log(1 + e^f) is the pointwise Bernoulli log-likelihood, valid for
+    fractional targets in [0, 1]. It is summed per row rather than as
+    sum w y f - sum w log(1 + e^f): on saturated fits both of those sums
+    are about sum w |f|, and their difference would lose that much to
+    rounding.
+    """
+    softplus, prob = _softplus_sigmoid(f)
+    ll = y * f
+    ll -= softplus
+    ll *= w
+    return ll.sum(axis=-1) - 0.5 * ridge * ((theta**2) * pen).sum(axis=-1), prob
 
 
 def _newton(design, y, w, ridge, pen, max_iter, tol):
@@ -538,8 +570,12 @@ def _newton(design, y, w, ridge, pen, max_iter, tol):
     intercept position) so the ridge acts on the destandardized
     coefficients.
 
-    The line search scores each halving from ``f + alpha * X step`` with
-    ``f = X theta``, so it never contracts the design itself. Problems leave
+    Each candidate is scored from ``f + alpha * X step`` with ``f = X theta``
+    in one pass over the rows, which reads the softplus of the objective
+    and the probabilities of the next gradient from one exp
+    (``_softplus_sigmoid``). The accepted candidate's ``f`` and
+    probabilities carry into the next iteration, so the loop contracts the
+    design only for the gradient, the Hessian and the step. Problems leave
     the working set once converged, stalled or broken problems make up half
     of it; every per-problem result is the same as without that.
     """
@@ -552,12 +588,13 @@ def _newton(design, y, w, ridge, pen, max_iter, tol):
     rows = np.arange(B)
     theta = np.zeros((B, p))
     active = np.ones(B, dtype=bool)
-    obj = _penalized_loglik(np.zeros((B, n)), y, w, theta, ridge, pen)
+    f = np.zeros((B, n))
+    obj, pr = _evaluate(f, y, w, theta, ridge, pen)
 
     for it in range(1, max_iter + 1):
-        f = design.dot(theta)
-        pr = expit(f)
-        grad = design.tdot(w * (y - pr)) - ridge * theta * pen
+        resid = y - pr
+        resid *= w
+        grad = design.tdot(resid) - ridge * theta * pen
         gmax = np.abs(grad).max(axis=-1)
 
         finite = np.isfinite(gmax)
@@ -579,7 +616,8 @@ def _newton(design, y, w, ridge, pen, max_iter, tol):
             )
             design = design.take(keep)
 
-        curv = w * pr * (1.0 - pr)
+        curv = w * pr
+        curv *= 1.0 - pr
         H = design.gram(curv)
         H += ridge * pen[:, :, None] * np.eye(p)
         # Tiny jitter keeps the batched solve defined when a problem is
@@ -599,20 +637,26 @@ def _newton(design, y, w, ridge, pen, max_iter, tol):
                 break
             # While the whole working set is pending (the first halving of
             # nearly every iteration) candidates are scored on the full
-            # arrays, which a boolean gather would copy.
-            sel = slice(None) if pending.all() else pending
+            # arrays, which a boolean gather would copy, and when all are
+            # accepted they replace the old arrays without a scatter.
+            whole = pending.all()
+            sel = slice(None) if whole else pending
             cand = theta[sel] + alpha * step[sel]
             cand_f = f[sel] + alpha * fstep[sel]
-            cand_obj = _penalized_loglik(cand_f, y[sel], w[sel], cand, ridge, pen[sel])
+            cand_obj, cand_pr = _evaluate(cand_f, y[sel], w[sel], cand, ridge, pen[sel])
             accept = cand_obj > obj[sel] - 1e-12 * (1.0 + np.abs(obj[sel]))
             accept &= np.isfinite(cand_obj)
+            if whole and accept.all():
+                theta, f, obj, pr = cand, cand_f, cand_obj, cand_pr
+                pending[:] = False
+                break
             if accept.any():
                 moved = np.flatnonzero(pending)[accept]
                 theta[moved] = cand[accept]
+                f[moved] = cand_f[accept]
                 obj[moved] = cand_obj[accept]
-                keep_pending = pending.copy()
-                keep_pending[moved] = False
-                pending = keep_pending
+                pr[moved] = cand_pr[accept]
+                pending[moved] = False
             alpha *= 0.5
         # A problem whose step never improved the objective has stalled.
         iterations[rows[pending]] = it

@@ -20,7 +20,7 @@ from scipy.special import expit
 
 from . import estimators, localfit
 from ._parallel import indexed_map
-from .core import Dataset
+from .core import Dataset, stable_argsort
 from .errors import DimensionMismatch, EmptyWindowError, ParameterError
 
 # Not called here (the kernels call localfit's solvers); the benchmark's
@@ -197,7 +197,7 @@ def trial_estimates(
     sorted_batch = unsorted_batch = None
     if any(m.kind not in _BASELINES for m in methods):
         D = cdist(arrays.test_x, arrays.train_x)
-        order = np.argsort(D, axis=1, kind="stable")
+        order = stable_argsort(D)
         sorted_batch = estimators.ProfileBatch(
             np.take_along_axis(D, order, axis=1),
             arrays.train_y[order].astype(np.float64),

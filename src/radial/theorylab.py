@@ -54,11 +54,11 @@ class TheoryConfig:
     omega: int | None = None
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ParameterError("beta must be positive")
         if self.d < 1:
             raise ParameterError("dimension must be >= 1")
-        if self.r_tilde <= 0:
+        if not self.r_tilde > 0:
             raise ParameterError("cutoff radius must be positive")
         if self.phi is None:
             object.__setattr__(self, "phi", default_threshold(self.d))
@@ -330,7 +330,7 @@ def zeta_concentration(
     """
     if reps < 2:
         raise ParameterError("reps must be >= 2 to report a standard deviation")
-    if r_tilde <= 0:
+    if not r_tilde > 0:
         raise ParameterError("cutoff radius must be positive")
     root = np.random.SeedSequence(rng_seed)
     rows = []

@@ -276,6 +276,8 @@ class TestWalkForward:
         walk = bt._WalkDistances(labeled)
         for queries, pool in ((range(60, 72), range(0, 60)), (range(72, 73), range(10, 72))):
             batch = walk.batch(queries, pool)
+            block = walk.dist[queries.start:queries.stop, pool.start:pool.stop]
+            assert np.array_equal(batch.index, np.argsort(block, axis=1, kind="stable") + pool.start)
             data = core.Dataset.from_sequences([labeled[j].block.closes for j in pool],
                                                [labeled[j].label for j in pool])
             for row, s in enumerate(queries):

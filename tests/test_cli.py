@@ -304,11 +304,15 @@ BUY = ["backtest", "--input", "builtin", "--method", "buy"]
     (BUY + ["--validation-months", "0"], 1, "validation window must be >= 1"),
     (["zeta", "--reps", "2", "--r-tilde", "-1"], 1, "cutoff radius must be positive"),
     (["zeta", "--reps", "2", "--r-tilde", "0"], 1, "cutoff radius must be positive"),
+    (["zeta", "--reps", "2", "--r-tilde", "nan"], 1, "cutoff radius must be positive"),
+    (["rate", "--reps", "1", "--beta", "nan"], 1, "beta must be positive"),
+    (["--method", "ks", "--params", "h=nan"], 1, "bandwidth must be positive"),
+    (["--method", "lpor", "--params", "h=nan"], 1, "bandwidth must be positive"),
 ], ids=["ks-without-h", "k-not-int", "k_vec-not-int", "unknown-weight", "bad-month", "zeta-d0",
         "unknown-name-with-line-break", "lpor-on-ragged-rows", "bench-negative-seed",
         "rate-negative-seed", "zeta-negative-seed", "backtest-negative-seed", "query-not-numbers",
         "query-empty", "test-start-after-history", "validation-months-0", "zeta-negative-r-tilde",
-        "zeta-zero-r-tilde"])
+        "zeta-zero-r-tilde", "zeta-nan-r-tilde", "rate-nan-beta", "ks-nan-h", "lpor-nan-h"])
 def test_bad_input_exits_with_one_line(train_csv, ragged_csv, argv, code, needle):
     if argv[0] == "--method":
         argv = ESTIMATE + [train_csv] + argv

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from radial import core
@@ -121,6 +122,48 @@ class TestProfile:
         b = core.profile(data, core.euclidean, [0.0, 0.0])
         assert np.array_equal(a.source_indices, b.source_indices)
         assert np.array_equal(a.radii, b.radii)
+
+
+# Few distinct values, so most arrays are full of ties, with every value
+# that orders specially: NaN (of either sign), both zeros and both infinities.
+tie_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan, -np.nan])
+tie_arrays = st.one_of(
+    hnp.arrays(np.float64, st.integers(0, 40), elements=tie_values),
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(0, 12)), elements=tie_values),
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(0, 12)),
+               elements=st.floats(allow_nan=True, allow_infinity=True)),
+)
+
+
+class TestStableArgsort:
+    @settings(max_examples=500, deadline=None)
+    @given(tie_arrays)
+    @example(np.zeros((3, 0)))
+    @example(np.array([[np.nan], [0.0], [-0.0]]))
+    @example(np.array([0.0, -0.0, 0.0, np.nan, -np.nan, np.nan]))
+    def test_is_numpys_stable_argsort(self, values):
+        got = core.stable_argsort(values)
+        want = np.argsort(values, axis=-1, kind="stable")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_large_rows(self):
+        rng = np.random.default_rng(3)
+        for values in (rng.integers(0, 4, size=(50, 400)) * 0.5, rng.random((7, 3000)),
+                       rng.integers(0, 50, size=20_000).astype(np.float64)):
+            assert np.array_equal(core.stable_argsort(values),
+                                  np.argsort(values, axis=-1, kind="stable"))
+
+    def test_profile_order_on_ties(self):
+        # Points on an integer grid: most distances from a grid point repeat.
+        rng = np.random.default_rng(4)
+        X = rng.integers(-3, 4, size=(500, 2)).astype(np.float64)
+        data = core.Dataset.from_arrays(X, rng.integers(0, 2, 500))
+        for q in ([0.0, 0.0], [1.0, -2.0], [0.5, 0.5]):
+            prof = core.profile(data, core.euclidean, q)
+            dists = np.linalg.norm(X - np.array(q), axis=1)
+            assert len(np.unique(dists)) < 30
+            assert np.array_equal(prof.source_indices, np.argsort(dists, kind="stable"))
 
 
 class TestDomainTypes:

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -222,6 +223,47 @@ class TestLogistic:
             assert conv[b] == cb
 
 
+def ulps(got, want):
+    """|got - want| in units in the last place of the larger magnitude."""
+    return np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+
+
+class TestSoftplusSigmoid:
+    """The one-exp pointwise helper of the Newton loop against numpy's
+    logaddexp and scipy's expit."""
+
+    F = np.concatenate((
+        np.linspace(-745.0, 745.0, 200_001),
+        np.random.default_rng(0).uniform(-745.0, 745.0, 100_000),
+        np.random.default_rng(1).normal(0.0, 8.0, 100_000),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300],
+    ))
+
+    def test_softplus_within_two_ulps_of_logaddexp(self):
+        softplus, _ = localfit._softplus_sigmoid(self.F)
+        assert ulps(softplus, np.logaddexp(0.0, self.F)).max() <= 2
+
+    def test_sigmoid_within_four_ulps_of_expit(self):
+        _, sigmoid = localfit._softplus_sigmoid(self.F)
+        want = expit(self.F)
+        # Below f = -709.78 expit's own exp(-f) overflows and it returns 0;
+        # there the sigmoid keeps the subnormal e^f, checked below.
+        normal = want >= np.finfo(np.float64).tiny
+        assert ulps(sigmoid, want)[normal].max() <= 4
+        far = self.F < -40.0
+        assert np.array_equal(sigmoid[far], np.exp(self.F[far]))
+
+    def test_limits_are_exact_without_warnings(self):
+        big = np.finfo(np.float64).max
+        f = np.array([-big, -1e308, -1e3, -746.0, 746.0, 1e3, 1e308, big])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            softplus, sigmoid = localfit._softplus_sigmoid(f)
+        assert np.array_equal(sigmoid, [0, 0, 0, 0, 1, 1, 1, 1])
+        assert np.array_equal(softplus, np.maximum(f, 0.0))
+        assert localfit._softplus_sigmoid(np.zeros(1))[1][0] == 0.5
+
+
 def einsum_penalized_loglik(X, y, w, theta, ridge, pen):
     """Reference objective: contracts X with theta once per call."""
     f = np.einsum("bnp,bp->bn", X, theta)
@@ -368,6 +410,21 @@ class TestNewtonMatchesEinsumReference:
             t1, c1, i1 = fit_logistic(features[idx], targets[idx], weights[idx])
             assert theta[idx].tobytes() == t1.tobytes()
             assert converged[idx] == c1 and iterations[idx] == i1
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_large_saturated_and_separated_windows(self, degree):
+        # At n = 2e4 a saturated fit's likelihood is a sum of 2e4 terms of
+        # size |f|, so an objective that rounds to that scale would accept
+        # or reject line-search steps the reference does not.
+        rng = np.random.default_rng(degree)
+        r = rng.uniform(0.0, 1.0, (4, 20_000))
+        y = np.stack([np.ones(r.shape[1]), np.zeros(r.shape[1]),
+                      r[2] < np.median(r[2]), r[3] < 0.3]).astype(float)
+        for w in (np.ones_like(r), 1.0 / np.maximum(r, 1e-3)):
+            (got, runs), (want, want_runs) = fit_both(RadialPoly(degree).expand(r), y, w)
+            assert runs == want_runs
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
 
     def test_separated_batch_takes_the_refit(self):
         # Row 0 is separated by a gap of 2e-3 at r = 0.5, so its

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
 from radial import core, estimators, synthlab as sl
@@ -207,3 +210,23 @@ class TestBatchedMatchesPerQuery:
     def test_lrlr(self):
         for name in ("lrlr_w1", "lrlr_winv"):
             self.check(name, atol=1e-5)
+
+
+def test_sorted_batch_order_on_ties():
+    """The trial's sorted batch orders each test point's neighbors as
+    numpy's stable argsort of its distances; on a grid most distances tie."""
+    rng = np.random.default_rng(9)
+    train_x = rng.integers(-2, 3, size=(300, 2)) * 0.5
+    test_x = rng.integers(-2, 3, size=(40, 2)) * 0.25
+    arrays = sl.TrialArrays(train_x, rng.integers(0, 2, 300), test_x,
+                            rng.integers(0, 2, 40), np.full(40, 0.5))
+    cfg = sl.SyntheticConfig(n_train=300, n_test=40, d=2, reps=1)
+    with mock.patch.object(sl, "_draw_trial", return_value=arrays), \
+            mock.patch.object(estimators, "ProfileBatch", side_effect=estimators.ProfileBatch) as spy:
+        sl.trial_estimates(cfg, np.random.default_rng(0), [sl.BenchMethod("knn_k5", "knn", {"k": 5})])
+    radii, labels, order = spy.call_args_list[0].args[:3]
+    D = cdist(test_x, train_x)
+    want = np.argsort(D, axis=1, kind="stable")
+    assert np.array_equal(order, want)
+    assert np.array_equal(radii, np.take_along_axis(D, want, axis=1))
+    assert np.array_equal(labels, arrays.train_y[want])
