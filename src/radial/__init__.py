@@ -19,7 +19,6 @@ from .core import (
     strict_floor,
 )
 from .estimators import (
-    AllPoints,
     Boxcar,
     ConstantOne,
     Estimate,
@@ -27,7 +26,6 @@ from .estimators import (
     InverseRadius,
     NearestCount,
     UniformInBall,
-    WithinRadius,
     classify,
     kernel_smoother,
     knn,
@@ -46,7 +44,6 @@ from .localfit import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllPoints",
     "Boxcar",
     "ConstantOne",
     "Dataset",
@@ -60,7 +57,6 @@ __all__ = [
     "RadialEvenPoly",
     "RadialPoly",
     "UniformInBall",
-    "WithinRadius",
     "as_covariate",
     "classify",
     "dtw",

@@ -98,30 +98,29 @@ class BatchEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Weight functions and scopes for the radial estimators. A weight function
-# maps (m, n) radii and the in-scope mask to weights that are zero outside
-# the mask; a scope maps (m, n) sorted radii to that mask.
+# Weight functions for the local fits. A weight function maps (m, n) radii
+# to (m, n) weights, and a row's window is where its weight is positive.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ConstantOne:
-    def __call__(self, radii: np.ndarray, inside: np.ndarray) -> np.ndarray:
-        return inside.astype(np.float64)
+    def __call__(self, radii: np.ndarray) -> np.ndarray:
+        return np.ones_like(radii, dtype=np.float64)
 
 
 @dataclass(frozen=True)
 class InverseRadius:
-    """w(r) = 1 / max(r, eps), eps tied to the largest in-scope radius.
+    """w(r) = 1 / max(r, eps), eps tied to the row's largest radius.
 
     The cap keeps duplicates of the query (r = 0) finite while letting
     their weight dominate, which is the natural limit of 1/r weighting.
     """
 
-    def __call__(self, radii: np.ndarray, inside: np.ndarray) -> np.ndarray:
-        largest = np.where(inside, radii, 0.0).max(axis=-1, initial=0.0, keepdims=True)
+    def __call__(self, radii: np.ndarray) -> np.ndarray:
+        largest = radii.max(axis=-1, initial=0.0, keepdims=True)
         eps = 1e-12 * np.where(largest > 0, largest, 1.0)
-        return np.where(inside, 1.0 / np.maximum(radii, eps), 0.0)
+        return 1.0 / np.maximum(radii, eps)
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,8 @@ class Boxcar:
         if not self.h > 0:
             raise ParameterError("bandwidth must be positive")
 
-    def __call__(self, radii: np.ndarray, inside: np.ndarray) -> np.ndarray:
-        return (inside & (radii <= self.h)).astype(np.float64)
+    def __call__(self, radii: np.ndarray) -> np.ndarray:
+        return (radii <= self.h).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -146,41 +145,27 @@ class UniformInBall:
         if not self.r_tilde > 0:
             raise ParameterError("cutoff radius must be positive")
 
-    def __call__(self, radii: np.ndarray, inside: np.ndarray) -> np.ndarray:
-        ball = inside & (radii <= self.r_tilde)
+    def __call__(self, radii: np.ndarray) -> np.ndarray:
+        ball = radii <= self.r_tilde
         n = ball.sum(axis=-1, keepdims=True)
         return ball / np.maximum(n, 1)
 
 
-WeightFunction = ConstantOne | InverseRadius | Boxcar | UniformInBall
-
-
-@dataclass(frozen=True)
-class AllPoints:
-    def select(self, radii: np.ndarray) -> np.ndarray:
-        return np.ones(radii.shape, dtype=bool)
-
-
-@dataclass(frozen=True)
-class WithinRadius:
-    h: float
-
-    def select(self, radii: np.ndarray) -> np.ndarray:
-        return radii <= self.h
-
-
 @dataclass(frozen=True)
 class NearestCount:
+    """w = 1 on each row's first ``k`` columns, its k nearest points when
+    the row is sorted, and 0 after them."""
+
     k: int
 
-    def select(self, radii: np.ndarray) -> np.ndarray:
+    def __call__(self, radii: np.ndarray) -> np.ndarray:
         n = radii.shape[-1]
         if not 1 <= self.k <= n:
             raise ParameterError(f"k must be in [1, {n}], got {self.k}")
-        return np.broadcast_to(np.arange(n) < self.k, radii.shape)
+        return np.broadcast_to(np.arange(n) < self.k, radii.shape).astype(np.float64)
 
 
-Scope = AllPoints | WithinRadius | NearestCount
+WeightFunction = ConstantOne | InverseRadius | Boxcar | UniformInBall | NearestCount
 
 
 # ---------------------------------------------------------------------------
@@ -188,43 +173,45 @@ Scope = AllPoints | WithinRadius | NearestCount
 # ---------------------------------------------------------------------------
 
 
-def _reduce_degree(n_points: np.ndarray, degree: int, basis_dim) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the highest degree <= ``degree`` whose basis fits its
-    ``n_points`` window, and whether that lowered the degree."""
-    q_eff = np.zeros_like(n_points)
-    qq = 1
-    while qq <= degree and basis_dim(qq) <= n_points.max():
-        q_eff[n_points >= basis_dim(qq)] = qq
-        qq += 1
-    return q_eff, q_eff < degree
+def _local_fit(
+    batch: ProfileBatch, weights, q: int, basis, features, logistic: bool, config, empty_message: str
+) -> BatchEstimate:
+    """Weighted local fit of each row's labels, read off at its intercept
+    (the intercept's sigmoid for the logistic fit).
 
-
-def _extent(inside: np.ndarray) -> int:
-    """Width of the leading columns that hold every in-scope entry."""
-    return int(np.flatnonzero(inside.any(axis=0))[-1]) + 1
-
-
-def _fit_by_degree(q_eff, design, logistic: bool, config):
-    """One solver call per group of rows sharing an effective degree.
-
-    ``design(rows, q)`` gives the (features, targets, weights) of those
-    rows. Returns each row's intercept (its sigmoid for the logistic fit)
-    and whether its fit converged.
+    A row's window is where ``weights`` is positive. Each row takes the
+    highest degree <= ``q`` whose ``basis(degree)`` fits its window, and
+    rows that share a degree go to the solver in one call, cut to the
+    leading columns that hold all their windows. ``features(rows, width,
+    basis)`` gives those rows' design.
     """
-    values = np.empty(q_eff.shape[0])
-    converged = np.ones(q_eff.shape[0], dtype=bool)
+    if q < 0:
+        raise ParameterError("degree must be >= 0")
+    window = weights > 0
+    used = window.sum(axis=1)
+    if np.any(used == 0):
+        raise EmptyWindowError(empty_message)
+    q_eff = np.zeros_like(used)
+    qq = 1
+    while qq <= q and basis(qq).output_dim <= used.max():
+        q_eff[used >= basis(qq).output_dim] = qq
+        qq += 1
+    values = np.empty(len(used))
+    converged = np.ones(len(used), dtype=bool)
     for qq in np.unique(q_eff):
         group = q_eff == qq
         # A slice, when every row shares the degree, selects without copying.
         rows = slice(None) if group.all() else np.flatnonzero(group)
-        features, targets, weights = design(rows, int(qq))
+        width = int(np.flatnonzero(window[rows].any(axis=0))[-1]) + 1
+        design = features(rows, width, basis(int(qq)))
+        targets, w = batch.labels[rows, :width], weights[rows, :width]
         if logistic:
-            theta, converged[rows], _ = localfit.fit_logistic(features, targets, weights, config)
+            theta, converged[rows], _ = localfit.fit_logistic(design, targets, w, config)
             values[rows] = expit(theta[:, 0])
         else:
-            theta, _ = localfit.solve_wls(features, targets, weights)
+            theta, _ = localfit.solve_wls(design, targets, w)
             values[rows] = theta[:, 0]
-    return values, converged
+    return BatchEstimate(values, used, converged, q_eff < q)
 
 
 def _ks(batch: ProfileBatch, h: float) -> BatchEstimate:
@@ -245,27 +232,16 @@ def _knn(batch: ProfileBatch, k: int) -> BatchEstimate:
 
 
 def _local_poly(batch: ProfileBatch, h: float, q: int, logistic: bool, config=None) -> BatchEstimate:
-    if not h > 0:
-        raise ParameterError("bandwidth must be positive")
-    if q < 0:
-        raise ParameterError("degree must be >= 0")
+    weights = Boxcar(h)(batch.radii)
     if batch.covariates is None or batch.covariates.shape[1] != batch.queries.shape[1]:
         raise DimensionMismatch("local polynomial fits need fixed-dimension covariates")
-    inside = batch.radii <= h
-    used = inside.sum(axis=1)
-    if np.any(used == 0):
-        raise EmptyWindowError(f"no point within bandwidth {h}")
     d = batch.queries.shape[1]
-    q_eff, fallback = _reduce_degree(used, q, lambda qq: MultivariatePoly(qq, d).output_dim)
 
-    def design(rows, qq):
-        width = _extent(inside[rows])
-        Z = batch.covariates[batch.index[rows, :width]] - batch.queries[rows][:, None, :]
-        weights = inside[rows, :width].astype(np.float64)
-        return MultivariatePoly(qq, d).expand(Z), batch.labels[rows, :width], weights
+    def offsets(rows, width, basis):
+        return basis.expand(batch.covariates[batch.index[rows, :width]] - batch.queries[rows][:, None, :])
 
-    values, converged = _fit_by_degree(q_eff, design, logistic, config)
-    return BatchEstimate(values, used, converged, fallback)
+    return _local_fit(batch, weights, q, lambda qq: MultivariatePoly(qq, d), offsets,
+                      logistic, config, f"no point within bandwidth {h}")
 
 
 _MSKNN_LOSSES = {"poly": ("squared",), "logi": ("logistic", "logit_squared")}
@@ -304,34 +280,22 @@ def _lrr(
     weight_fn: WeightFunction,
     q: int,
     loss: str = "squared",
-    scope: Scope = AllPoints(),
     even: bool = False,
     config=None,
 ) -> BatchEstimate:
     if loss not in ("squared", "logistic"):
         raise ParameterError(f"loss must be 'squared' or 'logistic', got {loss!r}")
-    if q < 0:
-        raise ParameterError("degree must be >= 0")
-    inside = scope.select(batch.radii)
-    weights = weight_fn(batch.radii, inside)
-    n_pos = (weights > 0).sum(axis=1)
-    if np.any(n_pos == 0):
-        raise EmptyWindowError("scope and weights leave no usable point")
 
     def basis(qq):
         if even and qq >= 1:
             return RadialEvenPoly(qq)
         return RadialPoly(0 if even else qq)
 
-    q_eff, fallback = _reduce_degree(n_pos, q, lambda qq: basis(qq).output_dim)
+    def radial(rows, width, basis):
+        return localfit.RadialFeatures(batch.radii[rows, :width], basis)
 
-    def design(rows, qq):
-        width = _extent(inside[rows])
-        features = localfit.RadialFeatures(batch.radii[rows, :width], basis(qq))
-        return features, batch.labels[rows, :width], weights[rows, :width]
-
-    values, converged = _fit_by_degree(q_eff, design, loss == "logistic", config)
-    return BatchEstimate(values, n_pos, converged, fallback)
+    return _local_fit(batch, weight_fn(batch.radii), q, basis, radial, loss == "logistic", config,
+                      "the weights leave no usable point")
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +354,17 @@ def lrr(
     weight_fn: WeightFunction,
     q: int,
     loss: str = "squared",
-    scope: Scope = AllPoints(),
     even: bool = False,
     config: LogisticConfig | None = None,
 ) -> Estimate:
     """Radial regression of the raw labels on distance; value at distance 0.
 
-    The squared loss gives the plain intercept; the logistic loss gives
-    sigmoid of the intercept (the logistic variant of the method). With
-    ``even=True`` the basis uses even powers 1, r^2, ..., r^(2q).
+    The fit's window is where ``weight_fn`` is positive. The squared loss
+    gives the plain intercept; the logistic loss gives sigmoid of the
+    intercept (the logistic variant of the method). With ``even=True`` the
+    basis uses even powers 1, r^2, ..., r^(2q).
     """
-    return _lrr(ProfileBatch.of(profile), weight_fn, q, loss, scope, even, config)[0]
+    return _lrr(ProfileBatch.of(profile), weight_fn, q, loss, even, config)[0]
 
 
 def classify(estimate):

@@ -42,10 +42,10 @@ class SyntheticConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_train, self.n_test, self.d, self.reps) < 1 or self.noise_sd < 0:
+        if min(self.n_train, self.n_test, self.d, self.reps) < 1 or not self.noise_sd >= 0:
             raise ParameterError("sizes must be positive and noise_sd nonnegative")
         for lo, hi in (self.train_range, self.test_range):
-            if lo >= hi:
+            if not lo < hi:
                 raise ParameterError("ranges must be well ordered")
 
 

@@ -19,10 +19,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._parallel import indexed_map
-from .core import NeighborProfile, strict_floor
+# indexed_map stays importable here: bench/radbench/layers.py traces the
+# radial.theorylab.indexed_map binding.
+from ._parallel import indexed_map  # noqa: F401
+from .core import strict_floor
 from .errors import ConfigurationError, DimensionMismatch, ParameterError
-from .estimators import ProfileBatch, UniformInBall, WithinRadius, _lrr
+from .estimators import ProfileBatch, UniformInBall, _lrr
 # solve_wls stays importable here: bench/radbench/layers.py traces the
 # radial.theorylab.solve_wls binding.
 from .localfit import solve_wls  # noqa: F401
@@ -91,17 +93,9 @@ class DesignState:
     rank_deficient: bool = False
 
 
-def _radii_labels(profile_or_radii, labels=None):
-    if isinstance(profile_or_radii, NeighborProfile):
-        prof = profile_or_radii
-        return prof.radii, prof.labels if labels is None else np.asarray(labels)
-    radii = np.asarray(profile_or_radii, dtype=np.float64)
-    return radii, None if labels is None else np.asarray(labels)
-
-
-def design_state(profile_or_radii, config: TheoryConfig) -> DesignState:
+def design_state(radii, config: TheoryConfig) -> DesignState:
     """Build the even-power design over points within the cutoff radius."""
-    radii, _ = _radii_labels(profile_or_radii)
+    radii = np.asarray(radii, dtype=np.float64)
     inside = radii[radii <= config.r_tilde]
     n = inside.shape[0]
     omega = config.omega
@@ -151,7 +145,7 @@ def lrr_closed_form(state: DesignState, labels) -> float:
     return float(state.rho @ labels)
 
 
-def theory_lrr(profile_or_radii, config: TheoryConfig, labels=None) -> float:
+def theory_lrr(radii, config: TheoryConfig, labels) -> float:
     """Intercept of the uniform-weight even-degree radial fit; 0 off-event.
 
     The fit is the batched estimator kernel of ``lrr(profile,
@@ -159,19 +153,14 @@ def theory_lrr(profile_or_radii, config: TheoryConfig, labels=None) -> float:
     with :func:`lrr_closed_form` to high precision whenever the guard event
     holds (the closed form is its algebraic identity).
     """
-    radii, lab = _radii_labels(profile_or_radii, labels)
-    if lab is None:
-        raise ParameterError("labels are required (pass a profile or explicit labels)")
-    if radii.shape != lab.shape:
+    radii = np.asarray(radii, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if radii.shape != labels.shape:
         raise DimensionMismatch("radii and labels must be co-indexed")
     if not design_state(radii, config).event_holds:
         return 0.0
-    batch = ProfileBatch(radii[None, :], lab[None, :].astype(np.float64))
-    fit = _lrr(
-        batch, UniformInBall(config.r_tilde), q=config.omega,
-        scope=WithinRadius(config.r_tilde), even=True,
-    )
-    return float(fit.values[0])
+    batch = ProfileBatch(radii[None, :], labels[None, :])
+    return float(_lrr(batch, UniformInBall(config.r_tilde), q=config.omega, even=True).values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +245,12 @@ def rate_experiment(
     sizes = [int(n) for n in sample_sizes]
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ParameterError("need at least 3 strictly increasing sample sizes")
+    if sizes[0] < 1:
+        raise ParameterError("sample sizes must be >= 1")
+    if d < 1:
+        raise ParameterError("dimension must be >= 1")
+    if not beta > 0:
+        raise ParameterError("beta must be positive")
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     if eta_fn is None:
@@ -265,28 +260,20 @@ def rate_experiment(
 
     center = np.zeros(d)
     eta_at_query = float(eta_fn(center[None, :], center)[0])
-    root = np.random.SeedSequence(rng_seed)
-    cells = [(i, rep) for i in range(len(sizes)) for rep in range(reps)]
-    seeds = root.spawn(len(cells))
-
-    def run_cell(args) -> tuple[float, bool]:
-        (i, _rep), seed = args
-        n = sizes[i]
-        r_tilde = n ** (-1.0 / (d + 2.0 * beta))
-        config = TheoryConfig(beta=beta, d=d, r_tilde=r_tilde, phi=phi, omega=omega)
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(-1.0, 1.0, size=(n, d))
-        eta = eta_fn(x, center)
-        y = (rng.random(n) < eta).astype(np.float64)
-        radii = np.linalg.norm(x, axis=1)
-        inside = radii <= r_tilde
-        state = design_state(radii[inside], config)
-        estimate = lrr_closed_form(state, y[inside])
-        return (eta_at_query - estimate) ** 2, state.event_holds
-
-    results = indexed_map(run_cell, list(zip(cells, seeds)))
-    errors = np.array([r[0] for r in results]).reshape(len(sizes), reps)
-    held = np.array([r[1] for r in results]).reshape(len(sizes), reps)
+    errors = np.empty((len(sizes), reps))
+    held = np.empty((len(sizes), reps), dtype=bool)
+    seeds = iter(np.random.SeedSequence(rng_seed).spawn(len(sizes) * reps))
+    for i, n in enumerate(sizes):
+        config = TheoryConfig(beta=beta, d=d, r_tilde=n ** (-1.0 / (d + 2.0 * beta)), phi=phi, omega=omega)
+        for rep in range(reps):
+            rng = np.random.default_rng(next(seeds))
+            x = rng.uniform(-1.0, 1.0, size=(n, d))
+            y = (rng.random(n) < eta_fn(x, center)).astype(np.float64)
+            radii = np.linalg.norm(x, axis=1)
+            inside = radii <= config.r_tilde
+            state = design_state(radii[inside], config)
+            errors[i, rep] = (eta_at_query - lrr_closed_form(state, y[inside])) ** 2
+            held[i, rep] = state.event_holds
 
     risks = errors.mean(axis=1)
     ses = errors.std(axis=1, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(len(sizes))
@@ -330,8 +317,8 @@ def zeta_concentration(
     """
     if reps < 2:
         raise ParameterError("reps must be >= 2 to report a standard deviation")
-    if not r_tilde > 0:
-        raise ParameterError("cutoff radius must be positive")
+    if not 0 < r_tilde < math.inf:
+        raise ParameterError("cutoff radius must be positive and finite")
     root = np.random.SeedSequence(rng_seed)
     rows = []
     for n, seed in zip(n_values, root.spawn(len(list(n_values)))):

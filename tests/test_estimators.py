@@ -5,12 +5,11 @@ from numpy.testing import assert_allclose
 from radial import core, estimators, theorylab
 from radial.errors import DimensionMismatch, EmptyWindowError, ParameterError
 from radial.estimators import (
-    AllPoints,
+    Boxcar,
     ConstantOne,
     InverseRadius,
     NearestCount,
     UniformInBall,
-    WithinRadius,
     classify,
     kernel_smoother,
     knn,
@@ -219,7 +218,7 @@ class TestLrr:
     def test_degree_zero_global_mean(self):
         rng = np.random.default_rng(7)
         prof = random_profile(rng, 30)
-        est = lrr(prof, ConstantOne(), 0, "squared", AllPoints())
+        est = lrr(prof, ConstantOne(), 0, "squared")
         assert_allclose(est.value, prof.labels.mean(), atol=1e-12)
 
     def test_hand_solved_line(self):
@@ -230,32 +229,40 @@ class TestLrr:
         slope = np.sum((r - r.mean()) * (y - y.mean())) / np.sum((r - r.mean()) ** 2)
         intercept = y.mean() - slope * r.mean()
         assert_allclose(intercept, 5.0 / 3.0)
-        est = lrr(prof, ConstantOne(), 1, "squared", AllPoints())
+        est = lrr(prof, ConstantOne(), 1, "squared")
         assert_allclose(est.value, intercept, atol=1e-12)
 
     def test_duplicate_query_inverse_weight(self):
         prof = make_profile([0.0, 0.4, 0.9, 1.3], [1, 0, 0, 0])
-        est = lrr(prof, InverseRadius(), 0, "squared", AllPoints())
+        est = lrr(prof, InverseRadius(), 0, "squared")
         assert np.isfinite(est.value)
         assert_allclose(est.value, 1.0, atol=1e-9)
 
-    def test_scopes(self):
+    def test_windows(self):
         prof = make_profile([1, 2, 3, 4], [1, 1, 0, 0])
-        within = lrr(prof, ConstantOne(), 0, "squared", WithinRadius(2.5))
+        within = lrr(prof, Boxcar(2.5), 0, "squared")
         assert_allclose(within.value, 1.0)
-        nearest = lrr(prof, ConstantOne(), 0, "squared", NearestCount(3))
+        nearest = lrr(prof, NearestCount(3), 0, "squared")
         assert_allclose(nearest.value, 2.0 / 3.0)
 
-    def test_boxcar_weight_equals_radius_scope(self):
+    def test_boxcar_weight_equals_fit_inside_the_ball(self):
         rng = np.random.default_rng(8)
         prof = random_profile(rng)
-        a = lrr(prof, estimators.Boxcar(1.0), 1, "squared", AllPoints())
-        b = lrr(prof, ConstantOne(), 1, "squared", WithinRadius(1.0))
+        a = lrr(prof, Boxcar(1.0), 1, "squared")
+        ball = prof.radii <= 1.0
+        inside = core.NeighborProfile(prof.radii[ball], prof.labels[ball], prof.source_indices[ball])
+        b = lrr(inside, ConstantOne(), 1, "squared")
         assert_allclose(a.value, b.value, atol=1e-9)
+
+    def test_nearest_count_checks_k(self):
+        prof = make_profile([1, 2, 3], [1, 0, 1])
+        for k in (0, 4):
+            with pytest.raises(ParameterError):
+                lrr(prof, NearestCount(k), 0)
 
     def test_degree_fallback(self):
         prof = make_profile([1, 2], [1, 0])
-        est = lrr(prof, ConstantOne(), 3, "squared", AllPoints())
+        est = lrr(prof, ConstantOne(), 3, "squared")
         assert est.diagnostics.fallback_applied
 
     def test_even_basis_matches_theory_closed_form(self):
@@ -271,16 +278,32 @@ class TestLrr:
             state = theorylab.design_state(prof.radii, config)
             if not state.event_holds:
                 continue
-            est = lrr(
-                prof,
-                UniformInBall(r_tilde),
-                omega,
-                "squared",
-                WithinRadius(r_tilde),
-                even=True,
-            )
+            est = lrr(prof, UniformInBall(r_tilde), omega, "squared", even=True)
             oracle = theorylab.lrr_closed_form(state, prof.labels[prof.radii <= r_tilde])
             assert_allclose(est.value, oracle, atol=1e-8)
+
+
+def test_points_beyond_every_window_change_no_estimate():
+    """A fit's window is where its weights are positive: points appended
+    past every window leave each windowed estimate unchanged to the bit."""
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        data, prof, query = euclid_fixture(rng, n=40)
+        far = query + rng.choice([-1.0, 1.0], size=(15, 2)) * rng.uniform(5.0, 9.0, size=(15, 2))
+        wide = core.Dataset.from_arrays(
+            np.vstack([data.covariates, far]), np.concatenate([data.labels, rng.integers(0, 2, 15)])
+        )
+        wide_prof = core.profile(wide, core.euclidean, query)
+        h, q = float(rng.uniform(0.5, 1.0)), int(rng.integers(0, 3))
+        assert lpor(data, prof, query, h, q) == lpor(wide, wide_prof, query, h, q)
+        assert lpolr(data, prof, query, h, q) == lpolr(wide, wide_prof, query, h, q)
+        for weight in (Boxcar(h), UniformInBall(h), NearestCount(int(rng.integers(5, 41)))):
+            for loss in ("squared", "logistic"):
+                assert lrr(prof, weight, q, loss) == lrr(wide_prof, weight, q, loss)
+        config = theorylab.TheoryConfig(beta=3, d=2, r_tilde=h, phi=0.99)
+        assert theorylab.theory_lrr(prof.radii, config, prof.labels) == theorylab.theory_lrr(
+            wide_prof.radii, config, wide_prof.labels
+        )
 
 
 class TestClassify:
@@ -308,7 +331,7 @@ class TestRangesAndSymmetry:
         rng = np.random.default_rng(12)
         for _ in range(20):
             prof = random_profile(rng)
-            v = lrr(prof, ConstantOne(), 2, "logistic", AllPoints()).value
+            v = lrr(prof, ConstantOne(), 2, "logistic").value
             assert 0.0 < v < 1.0
             v = msknn(prof, [5, 10, 20, 30], 2, "logi", "logit_squared").value
             assert 0.0 < v < 1.0
@@ -322,12 +345,12 @@ class TestRangesAndSymmetry:
             flipped = core.NeighborProfile(radii, 1 - labels, np.arange(30))
 
             for q in (0, 1, 2):
-                a = lrr(prof, ConstantOne(), q, "squared", AllPoints()).value
-                b = lrr(flipped, ConstantOne(), q, "squared", AllPoints()).value
+                a = lrr(prof, ConstantOne(), q, "squared").value
+                b = lrr(flipped, ConstantOne(), q, "squared").value
                 assert_allclose(a + b, 1.0, atol=1e-9)
 
-            a = lrr(prof, ConstantOne(), 2, "logistic", AllPoints()).value
-            b = lrr(flipped, ConstantOne(), 2, "logistic", AllPoints()).value
+            a = lrr(prof, ConstantOne(), 2, "logistic").value
+            b = lrr(flipped, ConstantOne(), 2, "logistic").value
             assert_allclose(a + b, 1.0, atol=1e-6)
 
             ks = [4, 8, 16, 24]

@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
 from radial import core, estimators, synthlab as sl
-from radial.errors import DimensionMismatch
+from radial.errors import DimensionMismatch, ParameterError
 
 
 class TestGroundTruth:
@@ -66,6 +66,16 @@ class TestConcordance:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sl.concordance([1, 0], [1])
+
+
+@pytest.mark.parametrize("fields", [
+    {"noise_sd": float("nan")},
+    {"train_range": (float("nan"), 1.0)},
+    {"test_range": (-0.7, float("nan"))},
+], ids=["nan-noise-sd", "nan-train-low", "nan-test-high"])
+def test_config_rejects_nan(fields):
+    with pytest.raises(ParameterError):
+        sl.SyntheticConfig(n_train=50, n_test=20, reps=1, **fields)
 
 
 class TestGenerateTrial:
