@@ -34,12 +34,7 @@ from .estimators import (
     lrr,
     msknn,
 )
-from .localfit import (
-    LogisticConfig,
-    MultivariatePoly,
-    RadialEvenPoly,
-    RadialPoly,
-)
+from .localfit import MultivariatePoly, RadialEvenPoly, RadialPoly
 
 __version__ = "0.1.0"
 
@@ -50,7 +45,6 @@ __all__ = [
     "Estimate",
     "EstimatorSpec",
     "InverseRadius",
-    "LogisticConfig",
     "MultivariatePoly",
     "NearestCount",
     "NeighborProfile",

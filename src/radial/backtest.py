@@ -98,21 +98,20 @@ class LabeledMonth:
 
 @dataclass(frozen=True)
 class WalkForwardConfig:
+    """The training and validation windows, in months, and the k_max grid
+    of the multiscale k-NN ladders ``msknn_kvec(5, k_max, 5)``."""
+
     n_train: int = 192
     validation_window: int = 24
-    knn_grid: tuple[int, ...] = tuple(range(1, 31))
     msknn_kmax_grid: tuple[int, ...] = (20, 30, 50, 80, 120)
-    msknn_k1: int = 5
-    msknn_J: int = 5
-    poly_degree: int = 2
 
     def __post_init__(self):
         if self.validation_window < 1:
             raise ParameterError("validation window must be >= 1 month")
         if self.n_train <= self.validation_window:
             raise ParameterError("training window must exceed the validation window")
-        if not self.knn_grid or not self.msknn_kmax_grid:
-            raise ParameterError("parameter grids must be nonempty")
+        if not self.msknn_kmax_grid:
+            raise ParameterError("the k_max grid must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -130,11 +129,13 @@ class BacktestLedger:
 # k (k-NN) or k_vec (multiscale k-NN) is tuned, see _candidates.
 LOCAL_METHODS = {
     "knn": ("knn", {}),
-    "msknn-poly": ("msknn-poly", {}),
-    "msknn-logi": ("msknn-logi", {"loss": "logit_squared"}),
-    "lrlr-w1": ("lrlr", {"weight": "constant_one"}),
-    "lrlr-winv": ("lrlr", {"weight": "inverse_r"}),
+    "msknn-poly": ("msknn-poly", {"q": 2}),
+    "msknn-logi": ("msknn-logi", {"q": 2, "loss": "logit_squared"}),
+    "lrlr-w1": ("lrlr", {"weight": "constant_one", "q": 2}),
+    "lrlr-winv": ("lrlr", {"weight": "inverse_r", "q": 2}),
 }
+# The k-NN tuning grid.
+KNN_GRID = tuple(range(1, 31))
 # Baselines that read no market data: hold the index, or flip a coin.
 _BASELINES = {
     "buy": lambda rng: 1,
@@ -311,15 +312,13 @@ def _candidates(method: estimators.Method, fixed: dict, config: WalkForwardConfi
     """(ledger value, resolved parameters) of each tuning candidate in grid
     order; a method that tunes nothing has the single candidate value None."""
     names = {p.name for p in method.params}
-    base = dict(fixed, q=config.poly_degree) if "q" in names else dict(fixed)
     if "k" in names:
-        grid = [(k, {"k": k}) for k in config.knn_grid]
+        grid = [(k, {"k": k}) for k in KNN_GRID]
     elif "k_vec" in names:
-        grid = [(kmax, {"k_vec": msknn_kvec(config.msknn_k1, kmax, config.msknn_J)})
-                for kmax in config.msknn_kmax_grid]
+        grid = [(kmax, {"k_vec": msknn_kvec(5, kmax, 5)}) for kmax in config.msknn_kmax_grid]
     else:
         grid = [(None, {})]
-    return [(value, method.resolve({**base, **tuned})) for value, tuned in grid]
+    return [(value, method.resolve({**fixed, **tuned})) for value, tuned in grid]
 
 
 def walk_forward_predict(
@@ -368,6 +367,15 @@ def walk_forward_predict(
         kind, fixed = LOCAL_METHODS[method]
         entry = estimators.get_method(kind)
         candidates = _candidates(entry, fixed, config)
+    # A candidate's ledger value is its k, or its ladder's k_max.
+    largest = max((value for value, _ in candidates if value is not None), default=0)
+    tuning = config.n_train - config.validation_window
+    if largest > tuning:
+        raise ConfigurationError(
+            f"a training window of {config.n_train} months less a validation window of "
+            f"{config.validation_window} leaves {tuning} tuning months, fewer than the "
+            f"largest candidate k of {method}, {largest}"
+        )
     walk = _WalkDistances(labeled)
     rng = np.random.default_rng(rng_seed)
     hook = phase_hook if phase_hook is not None else (lambda stage, t: None)

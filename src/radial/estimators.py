@@ -25,7 +25,7 @@ from scipy.special import expit, logit
 from . import localfit
 from .core import Dataset, NeighborProfile, as_covariate
 from .errors import DimensionMismatch, EmptyWindowError, ParameterError
-from .localfit import LogisticConfig, MultivariatePoly, RadialEvenPoly, RadialPoly
+from .localfit import MultivariatePoly, RadialEvenPoly, RadialPoly
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,9 @@ class ProfileBatch:
     """Neighbor profiles of ``m`` queries as co-indexed (m, n) arrays.
 
     Row i holds the radii, labels (as floats) and dataset indices of query
-    i's neighbors. Rows are nondecreasing in radius, except that a method
-    with :attr:`Method.any_order` reads every point and takes rows in any
-    order. ``covariates`` (the dataset's (N, d) array) and ``queries``
-    ((m, d)) are needed only by the local polynomial kernels.
+    i's neighbors, nondecreasing in radius. ``covariates`` (the dataset's
+    (N, d) array) and ``queries`` ((m, d)) are needed only by the local
+    polynomial kernels.
     """
 
     radii: np.ndarray
@@ -174,7 +173,7 @@ WeightFunction = ConstantOne | InverseRadius | Boxcar | UniformInBall | NearestC
 
 
 def _local_fit(
-    batch: ProfileBatch, weights, q: int, basis, features, logistic: bool, config, empty_message: str
+    batch: ProfileBatch, weights, q: int, basis, features, logistic: bool, empty_message: str
 ) -> BatchEstimate:
     """Weighted local fit of each row's labels, read off at its intercept
     (the intercept's sigmoid for the logistic fit).
@@ -206,7 +205,7 @@ def _local_fit(
         design = features(rows, width, basis(int(qq)))
         targets, w = batch.labels[rows, :width], weights[rows, :width]
         if logistic:
-            theta, converged[rows], _ = localfit.fit_logistic(design, targets, w, config)
+            theta, converged[rows], _ = localfit.fit_logistic(design, targets, w)
             values[rows] = expit(theta[:, 0])
         else:
             theta, _ = localfit.solve_wls(design, targets, w)
@@ -231,7 +230,7 @@ def _knn(batch: ProfileBatch, k: int) -> BatchEstimate:
     return BatchEstimate(batch.labels[:, :k].sum(axis=1) / k, k)
 
 
-def _local_poly(batch: ProfileBatch, h: float, q: int, logistic: bool, config=None) -> BatchEstimate:
+def _local_poly(batch: ProfileBatch, h: float, q: int, logistic: bool) -> BatchEstimate:
     weights = Boxcar(h)(batch.radii)
     if batch.covariates is None or batch.covariates.shape[1] != batch.queries.shape[1]:
         raise DimensionMismatch("local polynomial fits need fixed-dimension covariates")
@@ -241,13 +240,13 @@ def _local_poly(batch: ProfileBatch, h: float, q: int, logistic: bool, config=No
         return basis.expand(batch.covariates[batch.index[rows, :width]] - batch.queries[rows][:, None, :])
 
     return _local_fit(batch, weights, q, lambda qq: MultivariatePoly(qq, d), offsets,
-                      logistic, config, f"no point within bandwidth {h}")
+                      logistic, f"no point within bandwidth {h}")
 
 
 _MSKNN_LOSSES = {"poly": ("squared",), "logi": ("logistic", "logit_squared")}
 
 
-def _msknn(batch: ProfileBatch, k_vec, q: int, regression: str, loss: str, config=None) -> BatchEstimate:
+def _msknn(batch: ProfileBatch, k_vec, q: int, regression: str, loss: str) -> BatchEstimate:
     k_vec = [int(k) for k in k_vec]
     n = batch.radii.shape[1]
     if any(k2 <= k1 for k1, k2 in zip(k_vec, k_vec[1:])) or not k_vec:
@@ -265,7 +264,7 @@ def _msknn(batch: ProfileBatch, k_vec, q: int, regression: str, loss: str, confi
     weights = np.ones_like(eta_hat)
     converged = True
     if loss == "logistic":
-        theta, converged, _ = localfit.fit_logistic(features, eta_hat, weights, config)
+        theta, converged, _ = localfit.fit_logistic(features, eta_hat, weights)
     else:
         if loss == "logit_squared":
             lo = 1.0 / (2.0 * ks)
@@ -276,12 +275,7 @@ def _msknn(batch: ProfileBatch, k_vec, q: int, regression: str, loss: str, confi
 
 
 def _lrr(
-    batch: ProfileBatch,
-    weight_fn: WeightFunction,
-    q: int,
-    loss: str = "squared",
-    even: bool = False,
-    config=None,
+    batch: ProfileBatch, weight_fn: WeightFunction, q: int, loss: str = "squared", even: bool = False
 ) -> BatchEstimate:
     if loss not in ("squared", "logistic"):
         raise ParameterError(f"loss must be 'squared' or 'logistic', got {loss!r}")
@@ -294,7 +288,7 @@ def _lrr(
     def radial(rows, width, basis):
         return localfit.RadialFeatures(batch.radii[rows, :width], basis)
 
-    return _local_fit(batch, weight_fn(batch.radii), q, basis, radial, loss == "logistic", config,
+    return _local_fit(batch, weight_fn(batch.radii), q, basis, radial, loss == "logistic",
                       "the weights leave no usable point")
 
 
@@ -318,16 +312,9 @@ def lpor(data: Dataset, profile: NeighborProfile, query, h: float, q: int) -> Es
     return _local_poly(ProfileBatch.of(profile, data, query), h, q, False)[0]
 
 
-def lpolr(
-    data: Dataset,
-    profile: NeighborProfile,
-    query,
-    h: float,
-    q: int,
-    config: LogisticConfig | None = None,
-) -> Estimate:
+def lpolr(data: Dataset, profile: NeighborProfile, query, h: float, q: int) -> Estimate:
     """Logistic variant of :func:`lpor`; value is sigmoid of the intercept."""
-    return _local_poly(ProfileBatch.of(profile, data, query), h, q, True, config)[0]
+    return _local_poly(ProfileBatch.of(profile, data, query), h, q, True)[0]
 
 
 def msknn(
@@ -336,7 +323,6 @@ def msknn(
     q: int,
     regression: str = "poly",
     loss: str = "squared",
-    config: LogisticConfig | None = None,
 ) -> Estimate:
     """Fit a radial polynomial to k-NN estimates at several scales and
     extrapolate it to radius zero.
@@ -346,7 +332,7 @@ def msknn(
     pairs with either the logistic loss on the fractional k-NN targets or
     the squared loss on their logit transforms (``loss="logit_squared"``).
     """
-    return _msknn(ProfileBatch.of(profile), k_vec, q, regression, loss, config)[0]
+    return _msknn(ProfileBatch.of(profile), k_vec, q, regression, loss)[0]
 
 
 def lrr(
@@ -355,7 +341,6 @@ def lrr(
     q: int,
     loss: str = "squared",
     even: bool = False,
-    config: LogisticConfig | None = None,
 ) -> Estimate:
     """Radial regression of the raw labels on distance; value at distance 0.
 
@@ -364,7 +349,7 @@ def lrr(
     intercept (the logistic variant of the method). With ``even=True`` the
     basis uses even powers 1, r^2, ..., r^(2q).
     """
-    return _lrr(ProfileBatch.of(profile), weight_fn, q, loss, even, config)[0]
+    return _lrr(ProfileBatch.of(profile), weight_fn, q, loss, even)[0]
 
 
 def classify(estimate):
@@ -421,16 +406,11 @@ _WEIGHT = _choice("weight", "constant_one", constant_one=ConstantOne(), inverse_
 @dataclass(frozen=True)
 class Method:
     """A named estimator: its declared parameters and its batched kernel
-    call ``batch(profile_batch, **params)``.
-
-    ``any_order`` marks methods that read every point of a profile, so
-    their batch rows may come in any order.
-    """
+    call ``batch(profile_batch, **params)``."""
 
     kind: str
     params: tuple[Param, ...]
     batch: Callable[..., BatchEstimate]
-    any_order: bool = False
 
     def estimate(self, data: Dataset, profile: NeighborProfile, query, **params) -> Estimate:
         """One query's estimate, from parameters that :meth:`resolve`
@@ -473,8 +453,8 @@ METHODS: dict[str, Method] = {m.kind: m for m in (
     Method("msknn-logi", (_K_VEC, _Q, _choice("loss", "logistic", logistic="logistic", logit_squared="logit_squared")),
            lambda batch, k_vec, q, loss: _msknn(batch, k_vec, q, "logi", loss)),
     Method("lrr", (_WEIGHT, _Q, _choice("loss", "squared", squared="squared", logistic="logistic")),
-           lambda batch, weight, q, loss: _lrr(batch, weight, q, loss), any_order=True),
-    Method("lrlr", (_WEIGHT, _Q), lambda batch, weight, q: _lrr(batch, weight, q, "logistic"), any_order=True),
+           lambda batch, weight, q, loss: _lrr(batch, weight, q, loss)),
+    Method("lrlr", (_WEIGHT, _Q), lambda batch, weight, q: _lrr(batch, weight, q, "logistic")),
 )}
 
 

@@ -43,6 +43,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, ParameterError
 
+# The logistic solver's Newton iteration cap, gradient tolerance and ridge.
+MAX_ITER = 100
+TOL = 1e-8
+RIDGE = 1e-8
+
 # A fit whose coefficient norm exceeds this is treated as separated and
 # refit once with the escalated ridge.
 SEPARATION_NORM = 1e3
@@ -513,13 +518,6 @@ def solve_wls(features, targets, weights):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogisticConfig:
-    max_iter: int = 100
-    tol: float = 1e-8
-    ridge: float = 1e-8
-
-
 def _softplus_sigmoid(f):
     """log(1 + e^f) and 1 / (1 + e^-f), elementwise, from one exp.
 
@@ -666,11 +664,11 @@ def _newton(design, y, w, ridge, pen, max_iter, tol):
     return theta_out, converged, iterations
 
 
-def fit_logistic(features, targets, weights, config: LogisticConfig | None = None):
+def fit_logistic(features, targets, weights):
     """Weighted Bernoulli maximum likelihood over leading batch dims.
 
     Maximizes sum_i w_i [y_i log s(f_i) + (1-y_i) log(1-s(f_i))] minus
-    ``ridge/2 * |theta[1:]|^2`` by damped Newton iterations. Problems whose
+    ``RIDGE/2 * |theta[1:]|^2`` by damped Newton iterations. Problems whose
     coefficient norm diverges (perfect separation) are refit once with the
     ridge raised to ``SEPARATION_RIDGE``. ``features`` is a (..., n, p)
     array, or ``RadialFeatures``, which are fitted from power sums of the
@@ -679,8 +677,6 @@ def fit_logistic(features, targets, weights, config: LogisticConfig | None = Non
     Returns ``(theta, converged, iterations)`` with the batch shape of the
     inputs.
     """
-    if config is None:
-        config = LogisticConfig()
     y = np.ascontiguousarray(targets, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
     design, scaling = _design(features, w)
@@ -695,16 +691,14 @@ def fit_logistic(features, targets, weights, config: LogisticConfig | None = Non
     pen = (1.0 / scale**2).reshape(-1, p).copy()
     pen[:, 0] = 0.0
 
-    theta_s, converged, iterations = _newton(
-        design, yf, wf, config.ridge, pen, config.max_iter, config.tol
-    )
+    theta_s, converged, iterations = _newton(design, yf, wf, RIDGE, pen, MAX_ITER, TOL)
 
     norms = np.linalg.norm(theta_s / scale.reshape(-1, p), axis=-1)
     separated = np.isfinite(norms) & (norms > SEPARATION_NORM)
-    if separated.any() and config.ridge < SEPARATION_RIDGE:
+    if separated.any():
         t2, c2, i2 = _newton(
             design.take(separated), yf[separated], wf[separated],
-            SEPARATION_RIDGE, pen[separated], config.max_iter, config.tol,
+            SEPARATION_RIDGE, pen[separated], MAX_ITER, TOL,
         )
         theta_s[separated] = t2
         converged[separated] = c2

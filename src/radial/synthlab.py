@@ -34,7 +34,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class SyntheticConfig:
     n_train: int = 500
     n_test: int = 500
-    d: int = 3
     noise_sd: float = 0.05
     train_range: tuple[float, float] = (-1.0, 1.0)
     test_range: tuple[float, float] = (-0.7, 0.7)
@@ -42,7 +41,7 @@ class SyntheticConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_train, self.n_test, self.d, self.reps) < 1 or not self.noise_sd >= 0:
+        if min(self.n_train, self.n_test, self.reps) < 1 or not self.noise_sd >= 0:
             raise ParameterError("sizes must be positive and noise_sd nonnegative")
         for lo, hi in (self.train_range, self.test_range):
             if not lo < hi:
@@ -108,13 +107,13 @@ class TrialArrays:
 
 def _draw_trial(config: SyntheticConfig, rng: np.random.Generator) -> TrialArrays:
     lo, hi = config.train_range
-    train_x = rng.uniform(lo, hi, size=(config.n_train, config.d))
+    train_x = rng.uniform(lo, hi, size=(config.n_train, 3))
     noise = rng.normal(0.0, config.noise_sd, size=config.n_train)
     p_train = clip01(eta_true(train_x) + noise)
     train_y = (rng.random(config.n_train) < p_train).astype(np.int64)
 
     lo, hi = config.test_range
-    test_x = rng.uniform(lo, hi, size=(config.n_test, config.d))
+    test_x = rng.uniform(lo, hi, size=(config.n_test, 3))
     test_eta = eta_true(test_x)
     test_y = (rng.random(config.n_test) < test_eta).astype(np.int64)
     return TrialArrays(train_x, train_y, test_x, test_y, test_eta)
@@ -194,22 +193,16 @@ def trial_estimates(
         methods = default_method_suite()
     arrays = _draw_trial(config, rng)
 
-    sorted_batch = unsorted_batch = None
+    batch = None
     if any(m.kind not in _BASELINES for m in methods):
         D = cdist(arrays.test_x, arrays.train_x)
         order = stable_argsort(D)
-        sorted_batch = estimators.ProfileBatch(
+        batch = estimators.ProfileBatch(
             np.take_along_axis(D, order, axis=1),
             arrays.train_y[order].astype(np.float64),
             order,
             covariates=arrays.train_x,
             queries=arrays.test_x,
-        )
-        # Methods that read every point take the distances unsorted, so the
-        # sums in their fits run in training-set order; the benchmark CSVs
-        # depend on that order down to the last bit.
-        unsorted_batch = estimators.ProfileBatch(
-            D, np.broadcast_to(arrays.train_y.astype(np.float64), D.shape)
         )
 
     estimates: dict[str, np.ndarray] = {}
@@ -219,7 +212,6 @@ def trial_estimates(
             estimates[method.name] = baseline(arrays, rng)
             continue
         entry = estimators.get_method(method.kind)
-        batch = unsorted_batch if entry.any_order else sorted_batch
         try:
             estimates[method.name] = entry.batch(batch, **entry.resolve(method.params)).values
         except EmptyWindowError as exc:

@@ -56,8 +56,8 @@ class TheoryConfig:
     omega: int | None = None
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ParameterError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise ParameterError("beta must be positive and finite")
         if self.d < 1:
             raise ParameterError("dimension must be >= 1")
         if not self.r_tilde > 0:
@@ -231,8 +231,6 @@ def rate_experiment(
     reps: int = 200,
     rng_seed: int = 0,
     eta_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    omega: int | None = None,
-    phi: float | None = None,
 ) -> RateReport:
     """Monte-Carlo pointwise squared risk of the theory-mode estimator.
 
@@ -241,6 +239,8 @@ def rate_experiment(
     Bernoulli of the ground truth), applies the estimator with cutoff
     radius ``n**(-1/(d+2*beta))``, and averages the squared error at the
     query. The fitted log-log slope is compared with ``-2*beta/(d+2*beta)``.
+    The even-degree order is ``strict_floor(beta/2)``, or 1 for
+    ``beta <= 2``, and the guard threshold is :func:`default_threshold`.
     """
     sizes = [int(n) for n in sample_sizes]
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -249,14 +249,18 @@ def rate_experiment(
         raise ParameterError("sample sizes must be >= 1")
     if d < 1:
         raise ParameterError("dimension must be >= 1")
-    if not beta > 0:
-        raise ParameterError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ParameterError("beta must be positive and finite")
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     if eta_fn is None:
         eta_fn = default_eta
-    if omega is None:
-        omega = max(1, strict_floor(beta / 2)) if beta > 2 else 1
+    omega = strict_floor(beta / 2) if beta > 2 else 1
+    if omega + 1 > sizes[-1]:
+        raise ConfigurationError(
+            f"beta = {beta} gives even-degree order {omega:g}, so the guard event needs more "
+            f"than {omega:g} points, but the largest sample size is {sizes[-1]}"
+        )
 
     center = np.zeros(d)
     eta_at_query = float(eta_fn(center[None, :], center)[0])
@@ -264,7 +268,7 @@ def rate_experiment(
     held = np.empty((len(sizes), reps), dtype=bool)
     seeds = iter(np.random.SeedSequence(rng_seed).spawn(len(sizes) * reps))
     for i, n in enumerate(sizes):
-        config = TheoryConfig(beta=beta, d=d, r_tilde=n ** (-1.0 / (d + 2.0 * beta)), phi=phi, omega=omega)
+        config = TheoryConfig(beta=beta, d=d, r_tilde=n ** (-1.0 / (d + 2.0 * beta)), omega=omega)
         for rep in range(reps):
             rng = np.random.default_rng(next(seeds))
             x = rng.uniform(-1.0, 1.0, size=(n, d))

@@ -320,6 +320,20 @@ class TestWalkForward:
             with pytest.raises(ParameterError):
                 bt.WalkForwardConfig(validation_window=window)
 
+    def test_tuning_window_must_hold_the_largest_candidate(self):
+        labeled = period2_history(200)
+        start = labeled[192].block.month_id
+        # The largest knn candidate is k = 30; msknn's is the largest k_max.
+        fits = bt.WalkForwardConfig(n_train=31, validation_window=1)
+        assert bt.walk_forward_predict(labeled, start, start, "knn", fits).months == (start,)
+        stages = []
+        for method, config in (("knn", bt.WalkForwardConfig(n_train=31, validation_window=2)),
+                               ("msknn-logi", bt.WalkForwardConfig(n_train=130, validation_window=11))):
+            with pytest.raises(ConfigurationError, match="tuning months"):
+                bt.walk_forward_predict(labeled, start, start, method, config,
+                                        phase_hook=lambda stage, t: stages.append(stage))
+        assert stages == []
+
     def test_test_month_after_history_rejected(self):
         labeled = period2_history(200)
         with pytest.raises(ConfigurationError):

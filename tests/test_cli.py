@@ -312,12 +312,17 @@ BUY = ["backtest", "--input", "builtin", "--method", "buy"]
     (["rate", "--reps", "1", "--d", "-3"], 1, "dimension must be >= 1"),
     (["rate", "--reps", "1", "--beta", "-0.5"], 1, "beta must be positive"),
     (["zeta", "--reps", "2", "--r-tilde", "inf"], 1, "cutoff radius must be positive and finite"),
+    (["rate", "--reps", "1", "--beta", "1e308"], 1, "beta = 1e+308"),
+    (["rate", "--reps", "1", "--beta", "inf"], 1, "beta must be positive and finite"),
+    (["backtest", "--input", "builtin", "--method", "knn", "--train-months", "10",
+      "--validation-months", "5"], 1, "validation window of 5 leaves 5 tuning months"),
 ], ids=["ks-without-h", "k-not-int", "k_vec-not-int", "unknown-weight", "bad-month", "zeta-d0",
         "unknown-name-with-line-break", "lpor-on-ragged-rows", "bench-negative-seed",
         "rate-negative-seed", "zeta-negative-seed", "backtest-negative-seed", "query-not-numbers",
         "query-empty", "test-start-after-history", "validation-months-0", "zeta-negative-r-tilde",
         "zeta-zero-r-tilde", "zeta-nan-r-tilde", "rate-nan-beta", "ks-nan-h", "lpor-nan-h",
-        "rate-size-0", "rate-negative-d", "rate-negative-beta", "zeta-infinite-r-tilde"])
+        "rate-size-0", "rate-negative-d", "rate-negative-beta", "zeta-infinite-r-tilde",
+        "rate-huge-beta", "rate-infinite-beta", "backtest-tuning-window-below-k"])
 def test_bad_input_exits_with_one_line(train_csv, ragged_csv, argv, code, needle):
     if argv[0] == "--method":
         argv = ESTIMATE + [train_csv] + argv

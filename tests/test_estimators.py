@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from radial import core, estimators, theorylab
+from radial import core, estimators, localfit, theorylab
 from radial.errors import DimensionMismatch, EmptyWindowError, ParameterError
 from radial.estimators import (
     Boxcar,
@@ -151,12 +153,11 @@ class TestLocalPolyLogistic:
         assert lpolr(data, prof, [0.0, 0.0], 2.0, 1).value < 0.01
 
     def test_non_convergence_is_reported_with_finite_value(self):
-        from radial.localfit import LogisticConfig
-
         rng = np.random.default_rng(5)
         data = core.Dataset.from_arrays(rng.uniform(-1, 1, (30, 2)), rng.integers(0, 2, 30))
         prof = core.profile(data, core.euclidean, [0.0, 0.0])
-        est = lpolr(data, prof, [0.0, 0.0], 2.0, 1, config=LogisticConfig(max_iter=1, tol=1e-16))
+        with mock.patch.multiple(localfit, MAX_ITER=1, TOL=1e-16):
+            est = lpolr(data, prof, [0.0, 0.0], 2.0, 1)
         assert not est.diagnostics.converged
         assert np.isfinite(est.value)
 

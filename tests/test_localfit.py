@@ -12,7 +12,6 @@ from radial import localfit
 from radial.errors import ParameterError
 from radial.localfit import (
     SEPARATION_NORM,
-    LogisticConfig,
     MultivariatePoly,
     RadialEvenPoly,
     RadialFeatures,
@@ -188,7 +187,8 @@ class TestLogistic:
         r = rng.uniform(0, 2, size=200)
         feats = RadialPoly(2).expand(r)
         targets = expit(feats @ theta_star)
-        theta, converged, _ = fit_logistic(feats, targets, np.ones(200), LogisticConfig(ridge=0.0))
+        with mock.patch.object(localfit, "RIDGE", 0.0):
+            theta, converged, _ = fit_logistic(feats, targets, np.ones(200))
         assert converged
         assert_allclose(theta, theta_star, atol=1e-4)
 

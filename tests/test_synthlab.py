@@ -223,17 +223,21 @@ class TestBatchedMatchesPerQuery:
 
 
 def test_sorted_batch_order_on_ties():
-    """The trial's sorted batch orders each test point's neighbors as
-    numpy's stable argsort of its distances; on a grid most distances tie."""
+    """The trial's one batch, which every method reads, orders each test
+    point's neighbors as numpy's stable argsort of its distances; on a grid
+    most distances tie."""
     rng = np.random.default_rng(9)
     train_x = rng.integers(-2, 3, size=(300, 2)) * 0.5
     test_x = rng.integers(-2, 3, size=(40, 2)) * 0.25
     arrays = sl.TrialArrays(train_x, rng.integers(0, 2, 300), test_x,
                             rng.integers(0, 2, 40), np.full(40, 0.5))
-    cfg = sl.SyntheticConfig(n_train=300, n_test=40, d=2, reps=1)
+    cfg = sl.SyntheticConfig(n_train=300, n_test=40, reps=1)
+    methods = [sl.BenchMethod("knn_k5", "knn", {"k": 5}),
+               sl.BenchMethod("lrlr_w1", "lrlr", {"weight": "constant_one", "q": 2})]
     with mock.patch.object(sl, "_draw_trial", return_value=arrays), \
             mock.patch.object(estimators, "ProfileBatch", side_effect=estimators.ProfileBatch) as spy:
-        sl.trial_estimates(cfg, np.random.default_rng(0), [sl.BenchMethod("knn_k5", "knn", {"k": 5})])
+        sl.trial_estimates(cfg, np.random.default_rng(0), methods)
+    assert spy.call_count == 1
     radii, labels, order = spy.call_args_list[0].args[:3]
     D = cdist(test_x, train_x)
     want = np.argsort(D, axis=1, kind="stable")

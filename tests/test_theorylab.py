@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from radial import theorylab as tl
-from radial.errors import DimensionMismatch, ParameterError
+from radial.errors import ConfigurationError, DimensionMismatch, ParameterError
 
 
 def config(omega=1, r_tilde=10.0, d=2, phi=0.95, beta=None):
@@ -200,6 +202,14 @@ class TestRateExperiment:
         with pytest.raises(ParameterError):
             tl.rate_experiment(beta=2, d=1, sample_sizes=[100, 200], reps=5, rng_seed=0)
 
+    def test_rejects_beta_whose_guard_event_cannot_hold(self):
+        def never_drawn(x, c):
+            raise AssertionError("drew a sample")
+
+        # beta = 30 gives omega = 14, so the guard event needs 15 points.
+        with pytest.raises(ConfigurationError, match="beta = 30"):
+            tl.rate_experiment(beta=30, d=1, sample_sizes=[5, 10, 14], reps=1, eta_fn=never_drawn)
+
 
 class TestTheoryConfig:
     def test_omega_defaults_from_strict_floor(self):
@@ -221,6 +231,8 @@ class TestTheoryConfig:
             tl.TheoryConfig(beta=3.0, d=1, r_tilde=-1.0)
         with pytest.raises(ParameterError):
             tl.TheoryConfig(beta=3.0, d=1, r_tilde=0.5, phi=1.5)
+        with pytest.raises(ParameterError, match="finite"):
+            tl.TheoryConfig(beta=math.inf, d=1, r_tilde=0.5, omega=1)
 
 
 def test_csv_writers(tmp_path):
