@@ -24,7 +24,7 @@ import numpy as np
 from . import estimators
 # idtw stays importable here: bench/radbench/layers.py traces the
 # radial.backtest.idtw binding.
-from .core import idtw, idtw_pairs, stable_argsort  # noqa: F401
+from .core import dtw_pairs, idtw, rescale, stable_argsort  # noqa: F401
 from .errors import ConfigurationError, DomainError, ParameterError, ParseError
 
 MonthId = tuple[int, int]
@@ -271,8 +271,8 @@ class _WalkDistances:
     """Rescaled-warping distances between the months of one walk.
 
     ``dist`` is a symmetric matrix over every labeled month, NaN until the
-    pair is first needed; a month's closes and label are read from the
-    history on first use.
+    pair is first needed; a month's label and ``rescale``-d closes are read
+    from the history on first use.
     """
 
     def __init__(self, months):
@@ -284,7 +284,7 @@ class _WalkDistances:
     def read(self, i: int) -> None:
         if self.closes[i] is None:
             month = self.months[i]
-            self.closes[i], self.labels[i] = month.block.closes, month.label
+            self.closes[i], self.labels[i] = rescale(month.block.closes), month.label
 
     def batch(self, queries: range, pool: range) -> estimators.ProfileBatch:
         """The profiles of months ``queries`` over the months ``pool``.
@@ -293,12 +293,13 @@ class _WalkDistances:
         then sorted stably, so ties go to the earlier month.
         """
         for i in (*queries, *pool):
-            self.read(i)
+            if self.closes[i] is None:
+                self.read(i)
         block = self.dist[queries.start:queries.stop, pool.start:pool.stop]
         rows, cols = np.nonzero(np.isnan(block))
         if rows.size:
             rows, cols = rows + queries.start, cols + pool.start
-            values = idtw_pairs([self.closes[i] for i in rows], [self.closes[j] for j in cols])
+            values = dtw_pairs([self.closes[i] for i in rows], [self.closes[j] for j in cols])
             self.dist[rows, cols] = self.dist[cols, rows] = values
         order = stable_argsort(block)
         return estimators.ProfileBatch(
@@ -309,16 +310,20 @@ class _WalkDistances:
 
 
 def _candidates(method: estimators.Method, fixed: dict, config: WalkForwardConfig):
-    """(ledger value, resolved parameters) of each tuning candidate in grid
-    order; a method that tunes nothing has the single candidate value None."""
+    """(ledger value, resolved parameters) of each candidate in grid order,
+    and the parameters scoring them all in one call, row c * V + v being
+    validation month v under candidate c; a method that tunes nothing has
+    the single candidate value None and no grid."""
     names = {p.name for p in method.params}
     if "k" in names:
-        grid = [(k, {"k": k}) for k in KNN_GRID]
+        name, grid = "k", [(k, k) for k in KNN_GRID]
     elif "k_vec" in names:
-        grid = [(kmax, {"k_vec": msknn_kvec(5, kmax, 5)}) for kmax in config.msknn_kmax_grid]
+        name, grid = "k_vec", [(kmax, msknn_kvec(5, kmax, 5)) for kmax in config.msknn_kmax_grid]
     else:
-        grid = [(None, {})]
-    return [(value, method.resolve({**fixed, **tuned})) for value, tuned in grid]
+        return [(None, method.resolve(fixed))], None
+    candidates = [(value, method.resolve({**fixed, name: tuned})) for value, tuned in grid]
+    per_row = np.repeat([params[name] for _, params in candidates], config.validation_window, axis=0)
+    return candidates, {**candidates[0][1], name: per_row}
 
 
 def walk_forward_predict(
@@ -335,8 +340,8 @@ def walk_forward_predict(
     For test month t, each candidate parameter predicts the validation
     months t-V..t-1 against the fixed pool t-T..t-V-1 and the accuracy
     maximizer wins (ties to the smallest candidate); the final prediction
-    for t uses the chosen parameter over the full pool t-T..t-1. Methods
-    without a tunable parameter skip the validation stage.
+    for t uses the chosen parameter over the full pool t-T..t-1. The grid is
+    scored in one kernel call; methods that tune nothing skip this stage.
 
     ``phase_hook(stage, t)`` is invoked before the tune / query / predict /
     score stages of each test month, which lets tests assert that tuning
@@ -361,12 +366,11 @@ def walk_forward_predict(
             f"have {start_idx}"
         )
 
-    entry = None
-    candidates = [(None, {})]
+    entry, candidates, grid = None, [(None, {})], None
     if method in LOCAL_METHODS:
         kind, fixed = LOCAL_METHODS[method]
         entry = estimators.get_method(kind)
-        candidates = _candidates(entry, fixed, config)
+        candidates, grid = _candidates(entry, fixed, config)
     # A candidate's ledger value is its k, or its ladder's k_max.
     largest = max((value for value, _ in candidates if value is not None), default=0)
     tuning = config.n_train - config.validation_window
@@ -388,21 +392,22 @@ def walk_forward_predict(
 
     for t in range(start_idx, end_idx + 1):
         chosen, params = candidates[0]
-        if chosen is not None:
+        if grid is not None:
             hook("tune", t)
             validation = range(t - config.validation_window, t)
             batch = walk.batch(validation, range(t - config.n_train, validation.start))
-            v_labels = walk.labels[validation.start:t]
-            best_hits = -1
-            for value, candidate in candidates:
-                preds = estimators.classify(entry.batch(batch, **candidate).values)
-                hits = int(np.count_nonzero(preds == v_labels))
-                if hits > best_hits:
-                    best_hits, chosen, params = hits, value, candidate
+            # A candidate reads no more than the `largest` nearest months.
+            rows = estimators.ProfileBatch(*(np.tile(a[:, :largest], (len(candidates), 1))
+                                             for a in (batch.radii, batch.labels)))
+            preds = estimators.classify(entry.batch(rows, **grid).values).reshape(len(candidates), -1)
+            hits = np.count_nonzero(preds == walk.labels[validation.start:t], axis=1)
+            # argmax takes the first maximum: ties go to the smallest candidate.
+            chosen, params = candidates[int(np.argmax(hits))]
         chosen_out.append(chosen)
 
         hook("query", t)
-        walk.read(t)
+        if entry is not None:
+            walk.read(t)
 
         hook("predict", t)
         if entry is None:

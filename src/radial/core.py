@@ -168,15 +168,19 @@ def dtw_pairs(A: Sequence[np.ndarray], B: Sequence[np.ndarray]) -> np.ndarray:
     return np.sqrt(warp_sqcost(A, B))
 
 
+def rescale(series: np.ndarray) -> np.ndarray:
+    """``series`` divided by its first element, as ``idtw`` compares series."""
+    if series[0] == 0.0:
+        raise DomainError("idtw is undefined when a first element is zero")
+    return series / series[0]
+
+
 def idtw_pairs(A: Sequence[np.ndarray], B: Sequence[np.ndarray]) -> np.ndarray:
     """``idtw(A[p], B[p])`` for every p, in one batched kernel call."""
-    # Each distinct series is rescaled once: a profile or a backtest month
-    # pairs one series with many others.
-    scaled = {id(s): s for s in (*A, *B)}
-    for key, s in scaled.items():
-        if s[0] == 0.0:
-            raise DomainError("idtw is undefined when a first element is zero")
-        scaled[key] = s / s[0]
+    # Each distinct series is rescaled once: a profile pairs one series
+    # with many others.
+    distinct = {id(s): s for s in (*A, *B)}
+    scaled = {key: rescale(s) for key, s in distinct.items()}
     return dtw_pairs([scaled[id(a)] for a in A], [scaled[id(b)] for b in B])
 
 

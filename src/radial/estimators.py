@@ -223,11 +223,15 @@ def _ks(batch: ProfileBatch, h: float) -> BatchEstimate:
     return BatchEstimate(np.where(inside, batch.labels, 0.0).sum(axis=1) / used, used)
 
 
-def _knn(batch: ProfileBatch, k: int) -> BatchEstimate:
+def _knn(batch: ProfileBatch, k) -> BatchEstimate:
+    """``k`` is one int or one per row; with 0/1 labels a running sum is exact."""
     n = batch.radii.shape[1]
-    if not 1 <= k <= n:
-        raise ParameterError(f"k must be in [1, {n}], got {k}")
-    return BatchEstimate(batch.labels[:, :k].sum(axis=1) / k, k)
+    ks = np.asarray(k)
+    bad = ks[(ks < 1) | (ks > n)]
+    if bad.size:
+        raise ParameterError(f"k must be in [1, {n}], got {bad.flat[0]}")
+    counts = np.cumsum(batch.labels[:, :ks.max()], axis=1)
+    return BatchEstimate(np.take_along_axis(counts, ks.reshape(-1, 1) - 1, axis=1)[:, 0] / ks, ks)
 
 
 def _local_poly(batch: ProfileBatch, h: float, q: int, logistic: bool) -> BatchEstimate:
@@ -247,20 +251,28 @@ _MSKNN_LOSSES = {"poly": ("squared",), "logi": ("logistic", "logit_squared")}
 
 
 def _msknn(batch: ProfileBatch, k_vec, q: int, regression: str, loss: str) -> BatchEstimate:
-    k_vec = [int(k) for k in k_vec]
-    n = batch.radii.shape[1]
-    if any(k2 <= k1 for k1, k2 in zip(k_vec, k_vec[1:])) or not k_vec:
-        raise ParameterError("k_vec must be strictly increasing and nonempty")
-    if k_vec[0] < 1 or k_vec[-1] > n:
-        raise ParameterError(f"k_vec must lie within [1, {n}]")
-    if len(k_vec) < q + 1:
-        raise ParameterError(f"need at least q+1 = {q + 1} scales, got {len(k_vec)}")
+    """``k_vec`` is one ladder (J,) or one per row (m, J); each distinct
+    ladder is checked once, and a bad per-row one is named."""
+    m, n = batch.radii.shape
+    per_row = np.ndim(k_vec) == 2
+    if per_row and len(k_vec) != m:
+        raise ParameterError(f"k_vec needs one ladder per batch row ({m}), got {len(k_vec)}")
+    ladders = dict.fromkeys(map(tuple, np.asarray(k_vec).tolist())) if per_row else [[int(k) for k in k_vec]]
+    for ladder in ladders:
+        got = f", got {list(ladder)}" if per_row else ""
+        if any(k2 <= k1 for k1, k2 in zip(ladder, ladder[1:])) or not ladder:
+            raise ParameterError("k_vec must be strictly increasing and nonempty" + got)
+        if ladder[0] < 1 or ladder[-1] > n:
+            raise ParameterError(f"k_vec must lie within [1, {n}]" + got)
+    ks = np.array(k_vec if per_row else ladders[0], dtype=np.int64, ndmin=2)
+    if ks.shape[1] < q + 1:
+        raise ParameterError(f"need at least q+1 = {q + 1} scales, got {ks.shape[1]}")
     if loss not in _MSKNN_LOSSES.get(regression, ()):
         raise ParameterError(f"unsupported combination {(regression, loss)!r}")
 
-    ks = np.asarray(k_vec)
-    eta_hat = np.cumsum(batch.labels, axis=1)[:, ks - 1] / ks
-    features = RadialPoly(q).expand(batch.radii[:, ks - 1])
+    counts = np.cumsum(batch.labels[:, :ks[:, -1].max()], axis=1)
+    eta_hat = np.take_along_axis(counts, ks - 1, axis=1) / ks
+    features = RadialPoly(q).expand(np.take_along_axis(batch.radii, ks - 1, axis=1))
     weights = np.ones_like(eta_hat)
     converged = True
     if loss == "logistic":
@@ -271,7 +283,7 @@ def _msknn(batch: ProfileBatch, k_vec, q: int, regression: str, loss: str) -> Ba
             eta_hat = logit(np.clip(eta_hat, lo, 1.0 - lo))
         theta, _ = localfit.solve_wls(features, eta_hat, weights)
     values = theta[:, 0] if regression == "poly" else expit(theta[:, 0])
-    return BatchEstimate(values, ks[-1], converged)
+    return BatchEstimate(values, ks[:, -1], converged)
 
 
 def _lrr(
@@ -303,7 +315,7 @@ def kernel_smoother(profile: NeighborProfile, h: float) -> Estimate:
 
 
 def knn(profile: NeighborProfile, k: int) -> Estimate:
-    """Mean label of the k nearest points."""
+    """Mean label of the k nearest points; the batched kernel also takes one k per row."""
     return _knn(ProfileBatch.of(profile), k)[0]
 
 
@@ -325,7 +337,8 @@ def msknn(
     loss: str = "squared",
 ) -> Estimate:
     """Fit a radial polynomial to k-NN estimates at several scales and
-    extrapolate it to radius zero.
+    extrapolate it to radius zero. The batched kernel also takes one ladder
+    per row.
 
     ``regression="poly"`` pairs with the squared loss and returns the raw
     intercept. ``regression="logi"`` returns sigmoid of the intercept and

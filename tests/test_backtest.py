@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from radial import backtest as bt
-from radial import core
+from radial import core, estimators, localfit
 from radial.errors import ConfigurationError, DomainError, ParameterError, ParseError
 
 
@@ -373,6 +373,115 @@ class TestLeakage:
             rec for rec in history.trace if rec[0] is not None and rec[1] > rec[0][1]
         ]
         assert future == []
+
+
+# ---------------------------------------------------------------------------
+# The tuning grid in one kernel call, against one call per candidate
+# ---------------------------------------------------------------------------
+
+
+SMALL = bt.WalkForwardConfig(n_train=40, validation_window=8, msknn_kmax_grid=(10, 20, 30))
+
+
+def reference_walk(labeled, start, end, method, config, rng_seed=0):
+    """The walk-forward ledger with the tuning grid scored one candidate at
+    a time (strict improvement wins, so ties go to the smallest), every
+    profile built by ``core.profile`` under ``idtw``, and the cumulative
+    return as a running product."""
+    ids = [m.block.month_id for m in labeled]
+    T, V = config.n_train, config.validation_window
+    rng = np.random.default_rng(rng_seed)
+    entry, candidates = None, [(None, {})]
+    if method in bt.LOCAL_METHODS:
+        kind, fixed = bt.LOCAL_METHODS[method]
+        entry = estimators.get_method(kind)
+        grid = [(None, {})]
+        if kind == "knn":
+            grid = [(k, {"k": k}) for k in bt.KNN_GRID]
+        elif kind.startswith("msknn"):
+            grid = [(kmax, {"k_vec": bt.msknn_kvec(5, kmax, 5)}) for kmax in config.msknn_kmax_grid]
+        candidates = [(value, entry.resolve({**fixed, **tuned})) for value, tuned in grid]
+
+    def profiles(queries, pool):
+        data = core.Dataset.from_sequences([labeled[j].block.closes for j in pool],
+                                           [labeled[j].label for j in pool])
+        rows = [core.profile(data, core.idtw, labeled[i].block.closes) for i in queries]
+        return estimators.ProfileBatch(np.stack([p.radii for p in rows]),
+                                       np.stack([p.labels for p in rows]).astype(np.float64))
+
+    months, preds, labels, chosen_out, returns, cumulative = [], [], [], [], [], []
+    for t in range(ids.index(start), ids.index(end) + 1):
+        chosen, params = candidates[0]
+        if chosen is not None:
+            batch = profiles(range(t - V, t), range(t - T, t - V))
+            v_labels = np.array([labeled[i].label for i in range(t - V, t)])
+            best = -1
+            for value, candidate in candidates:
+                hits = int(np.count_nonzero(estimators.classify(entry.batch(batch, **candidate).values) == v_labels))
+                if hits > best:
+                    best, chosen, params = hits, value, candidate
+        if entry is None:
+            pred = 1 if method == "buy" else int(rng.integers(0, 2))
+        else:
+            pred = int(estimators.classify(entry.batch(profiles([t], range(t - T, t)), **params).values)[0])
+        month = labeled[t]
+        months.append(month.block.month_id)
+        preds.append(pred)
+        labels.append(month.label)
+        chosen_out.append(chosen)
+        returns.append(bt.monthly_return(pred, month.block.month_end_close, month.next_close))
+        cumulative.append(returns[-1] * (cumulative[-1] if cumulative else 1.0))
+    return bt.BacktestLedger(tuple(months), tuple(preds), tuple(labels), tuple(chosen_out),
+                             tuple(returns), tuple(cumulative), method)
+
+
+def noisy_period2_history(n_months=64):
+    """``period2_history`` with every third month's closes perturbed, so
+    that some distances tie and others do not."""
+    rng = np.random.default_rng(8)
+    blocks = [m.block for m in period2_history(n_months)]
+    blocks[::3] = [bt.MonthBlock(b.month_id, b.closes * np.exp(rng.normal(0, 0.02, b.n_days)))
+                   for b in blocks[::3]]
+    return bt.label_months(blocks)
+
+
+class TestGridTuning:
+    @pytest.mark.parametrize("history", ["noisy-period2", "bundled"])
+    @pytest.mark.parametrize("method", bt.METHODS)
+    def test_ledger_equals_one_call_per_candidate(self, history, method):
+        if history == "bundled":
+            labeled = bt.label_months(bt.segment_months(bt.ingest_csv(bt.bundled_fixture_path())))
+            first, last = 150, 159
+        else:
+            labeled = noisy_period2_history()
+            first, last = 40, 55
+        start, end = labeled[first].block.month_id, labeled[last].block.month_id
+        ledger = bt.walk_forward_predict(labeled, start, end, method, SMALL, rng_seed=5)
+        assert ledger == reference_walk(labeled, start, end, method, SMALL, rng_seed=5)
+
+    def test_zero_first_close_raises_without_warning(self):
+        blocks = [m.block for m in period2_history(48)]
+        for i in (20, 40):
+            blocks[i] = bt.MonthBlock(blocks[i].month_id, np.concatenate([[0.0], blocks[i].closes[1:]]))
+        labeled = bt.label_months(blocks)
+        start = labeled[40].block.month_id
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in ("knn", "msknn-logi", "lrlr-w1"):
+                with pytest.raises(DomainError, match="^idtw is undefined when a first element is zero$"):
+                    bt.walk_forward_predict(labeled, start, start, method, SMALL)
+            # A baseline reads no closes, so a zero first close does not stop it.
+            assert bt.walk_forward_predict(labeled, start, start, "buy", SMALL).predictions == (1,)
+
+    def test_one_solve_to_tune_and_one_to_predict_each_month(self, monkeypatch):
+        calls = []
+        solve_wls = localfit.solve_wls
+        monkeypatch.setattr(localfit, "solve_wls", lambda *args: calls.append(1) or solve_wls(*args))
+        labeled = period2_history(60)
+        config = bt.WalkForwardConfig(n_train=40, validation_window=8, msknn_kmax_grid=(10, 12, 15, 20, 25))
+        start, end = labeled[40].block.month_id, labeled[42].block.month_id
+        assert len(bt.walk_forward_predict(labeled, start, end, "msknn-logi", config).months) == 3
+        assert len(calls) == 2 * 3
 
 
 # ---------------------------------------------------------------------------

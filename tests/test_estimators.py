@@ -2,6 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from radial import core, estimators, localfit, theorylab
@@ -362,3 +364,87 @@ class TestRangesAndSymmetry:
             a = msknn(prof, ks, 1, "logi", "logistic").value
             b = msknn(flipped, ks, 1, "logi", "logistic").value
             assert_allclose(a + b, 1.0, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Tuned kernels with one parameter per row
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tied_batches(draw):
+    """A sorted batch whose radii come from four values, so most tie, and
+    whose labels are runs of 0/1."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(6, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radii = np.sort(rng.choice([0.0, 0.5, 1.0, 2.5], size=(m, n)), axis=1)
+    labels = np.repeat(rng.integers(0, 2, size=(m, n // 2 + 1)), 2, axis=1)[:, :n].astype(np.float64)
+    return estimators.ProfileBatch(radii, labels), rng
+
+
+def _tiled(batch, count):
+    return estimators.ProfileBatch(np.tile(batch.radii, (count, 1)), np.tile(batch.labels, (count, 1)))
+
+
+def _same(per_row, one_by_one):
+    """The per-row estimate equals the stacked one-parameter estimates bit for bit."""
+    stacked = [np.concatenate([np.broadcast_to(getattr(e, name), e.values.shape) for e in one_by_one])
+               for name in ("values", "used_points", "converged")]
+    for name, want in zip(("values", "used_points", "converged"), stacked):
+        got = np.broadcast_to(getattr(per_row, name), per_row.values.shape)
+        assert got.tobytes() == want.astype(got.dtype).tobytes(), name
+
+
+class TestPerRowParameters:
+    @settings(max_examples=60, deadline=None)
+    @given(tied_batches(), st.integers(1, 5))
+    def test_knn_per_row_equals_one_call_per_k(self, drawn, count):
+        batch, rng = drawn
+        m, n = batch.radii.shape
+        ks = rng.integers(1, n + 1, size=count)
+        _same(estimators._knn(_tiled(batch, count), np.repeat(ks, m)),
+              [estimators._knn(batch, int(k)) for k in ks])
+
+    @settings(max_examples=60, deadline=None)
+    @given(tied_batches(), st.integers(1, 4), st.integers(0, 2),
+           st.sampled_from([("poly", "squared"), ("logi", "logistic"), ("logi", "logit_squared")]))
+    def test_msknn_per_row_equals_one_call_per_ladder(self, drawn, count, q, combination):
+        batch, rng = drawn
+        m, n = batch.radii.shape
+        J = int(rng.integers(q + 1, min(n, 6) + 1))
+        ladders = np.sort([rng.choice(np.arange(1, n + 1), size=J, replace=False) for _ in range(count)], axis=1)
+        _same(estimators._msknn(_tiled(batch, count), np.repeat(ladders, m, axis=0), q, *combination),
+              [estimators._msknn(batch, ladder.tolist(), q, *combination) for ladder in ladders])
+
+    def test_bad_per_row_k_is_named(self):
+        batch = estimators.ProfileBatch(np.arange(8.0).reshape(2, 4), np.ones((2, 4)))
+        for k, needle in (([2, 5], "k must be in [1, 4], got 5"), ([0, 1], "got 0")):
+            with pytest.raises(ParameterError) as err:
+                estimators._knn(batch, np.array(k))
+            assert needle in str(err.value) and "\n" not in str(err.value)
+
+    def test_bad_per_row_ladder_is_named(self):
+        batch = estimators.ProfileBatch(np.arange(12.0).reshape(2, 6), np.ones((2, 6)))
+        for ladders, needle in (([[1, 2, 3], [1, 3, 3]], "strictly increasing and nonempty, got [1, 3, 3]"),
+                                ([[1, 2, 7], [1, 2, 3]], "within [1, 6], got [1, 2, 7]"),
+                                ([[0, 2, 3], [1, 2, 3]], "got [0, 2, 3]"),
+                                ([[1, 2, 3]] * 3, "one ladder per batch row (2), got 3")):
+            with pytest.raises(ParameterError) as err:
+                estimators._msknn(batch, np.array(ladders), 2, "poly", "squared")
+            assert needle in str(err.value) and "\n" not in str(err.value)
+
+    def test_scalar_messages_are_unchanged(self):
+        batch = estimators.ProfileBatch(np.arange(8.0).reshape(2, 4), np.ones((2, 4)))
+        for call, message in (
+            (lambda: estimators._knn(batch, 5), "k must be in [1, 4], got 5"),
+            (lambda: estimators._knn(batch, 10**30), f"k must be in [1, 4], got {10**30}"),
+            (lambda: estimators._msknn(batch, [1, 1, 2], 2, "poly", "squared"),
+             "k_vec must be strictly increasing and nonempty"),
+            (lambda: estimators._msknn(batch, [], 0, "poly", "squared"),
+             "k_vec must be strictly increasing and nonempty"),
+            (lambda: estimators._msknn(batch, [1, 2, 10**30], 2, "poly", "squared"), "k_vec must lie within [1, 4]"),
+            (lambda: estimators._msknn(batch, [1, 2], 2, "poly", "squared"), "need at least q+1 = 3 scales, got 2"),
+        ):
+            with pytest.raises(ParameterError) as err:
+                call()
+            assert str(err.value) == message
