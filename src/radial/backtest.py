@@ -11,7 +11,6 @@ distance, so months of different lengths are comparable.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 import warnings
@@ -24,7 +23,7 @@ import numpy as np
 from . import estimators
 # idtw stays importable here: bench/radbench/layers.py traces the
 # radial.backtest.idtw binding.
-from .core import dtw_pairs, idtw, rescale, stable_argsort  # noqa: F401
+from .core import dtw_pairs, idtw, read_csv, rescale, stable_argsort, write_csv  # noqa: F401
 from .errors import ConfigurationError, DomainError, ParameterError, ParseError
 
 MonthId = tuple[int, int]
@@ -150,23 +149,14 @@ METHODS = (*LOCAL_METHODS, *_BASELINES)
 
 
 def ingest_csv(path) -> PriceSeries:
-    """Read (ISO-8601 date, close) rows of UTF-8 text; the header row is
-    optional and a leading byte-order mark is ignored.
+    """Read (ISO-8601 date, close) rows through ``core.read_csv``; the
+    header row is optional.
 
     Rows are sorted by date (with a warning when the input was unsorted);
     duplicate dates and nonpositive closes are rejected.
     """
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            records = list(csv.reader(fh))
-    except UnicodeDecodeError:
-        raise ParseError("input is not UTF-8 text") from None
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}") from None
     rows: list[tuple[dt.date, float]] = []
-    for lineno, record in enumerate(records, start=1):
-        if not record or (len(record) == 1 and not record[0].strip()):
-            continue
+    for lineno, record in read_csv(path, "input"):
         if len(record) != 2:
             raise ParseError(f"expected 2 columns, got {len(record)}", line=lineno)
         date_text, close_text = (f.strip() for f in record)
@@ -435,44 +425,8 @@ def walk_forward_predict(
 
 
 # ---------------------------------------------------------------------------
-# Synthetic fixture and CSV output
+# Bundled fixture and CSV output
 # ---------------------------------------------------------------------------
-
-
-def synthetic_price_series(
-    n_months: int = 420,
-    seed: int = 20240809,
-    start_year: int = 1990,
-    start_month: int = 1,
-    daily_drift: float = 2e-4,
-    daily_vol: float = 9e-3,
-) -> PriceSeries:
-    """Deterministic geometric random walk sampled on weekdays.
-
-    Stands in for proprietary index data so the pipeline can be exercised
-    end to end; one row per weekday of each calendar month.
-    """
-    rng = np.random.default_rng(seed)
-    dates: list[dt.date] = []
-    year, month = start_year, start_month
-    for _ in range(n_months):
-        day = dt.date(year, month, 1)
-        while day.month == month:
-            if day.weekday() < 5:
-                dates.append(day)
-            day += dt.timedelta(days=1)
-        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
-    log_returns = rng.normal(daily_drift, daily_vol, size=len(dates))
-    closes = 100.0 * np.exp(np.cumsum(log_returns))
-    return PriceSeries(tuple(dates), closes)
-
-
-def write_series_csv(series: PriceSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "close"])
-        for date, close in zip(series.dates, series.closes):
-            writer.writerow([date.isoformat(), repr(float(close))])
 
 
 def bundled_fixture_path() -> str:
@@ -481,24 +435,7 @@ def bundled_fixture_path() -> str:
 
 
 def write_ledger_csv(ledger: BacktestLedger, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["month", "prediction", "label", "chosen_param", "return", "cumulative"])
-        for month, pred, label, param, ret, cum in zip(
-            ledger.months,
-            ledger.predictions,
-            ledger.labels,
-            ledger.chosen_params,
-            ledger.returns,
-            ledger.cumulative,
-        ):
-            writer.writerow(
-                [
-                    f"{month[0]:04d}-{month[1]:02d}",
-                    pred,
-                    label,
-                    "" if param is None else param,
-                    repr(ret),
-                    repr(cum),
-                ]
-            )
+    months = (f"{year:04d}-{month:02d}" for year, month in ledger.months)
+    write_csv(path, ["month", "prediction", "label", "chosen_param", "return", "cumulative"],
+              zip(months, ledger.predictions, ledger.labels, ledger.chosen_params,
+                  ledger.returns, ledger.cumulative))

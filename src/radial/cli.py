@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import re
 import sys
 
@@ -216,17 +215,8 @@ def _parse_params(parser, method: estimators.Method, text: str) -> dict:
 def _cmd_estimate(parser, args) -> int:
     method = estimators.METHODS[args.method]
     params = _parse_params(parser, method, args.params)
-    try:
-        with open(args.train, encoding="utf-8-sig", newline="") as fh:
-            records = list(csv.reader(fh))
-    except UnicodeDecodeError:
-        raise ParseError("training file is not UTF-8 text") from None
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}") from None
     rows: list[list[float]] = []
-    for lineno, record in enumerate(records, start=1):
-        if not record:
-            continue
+    for lineno, record in core.read_csv(args.train, "training file"):
         try:
             rows.append([float(v) for v in record])
         except ValueError as exc:

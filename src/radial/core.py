@@ -4,10 +4,13 @@ Distances are computed in double precision by brute force. Neighbor
 ordering is the order of a stable sort, so ties are broken by ascending
 original index and repeated calls are bit-identical; ``stable_argsort``
 computes it exactly from numpy's faster default sort.
+
+:func:`read_csv` and :func:`write_csv` hold the CSV format of every table.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -15,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._dtw import warp_sqcost
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, ParseError
 
 Metric = Callable[[np.ndarray, np.ndarray], float]
 
@@ -156,7 +159,7 @@ def dtw(a, b) -> float:
 def idtw(a, b) -> float:
     """Time-warping distance after rescaling each series by its first element."""
     a, b = _series_pair(a, b, "idtw")
-    return float(idtw_pairs([a], [b])[0])
+    return float(dtw_pairs([rescale(a)], [rescale(b)])[0])
 
 
 def dtw_pairs(A: Sequence[np.ndarray], B: Sequence[np.ndarray]) -> np.ndarray:
@@ -173,15 +176,6 @@ def rescale(series: np.ndarray) -> np.ndarray:
     if series[0] == 0.0:
         raise DomainError("idtw is undefined when a first element is zero")
     return series / series[0]
-
-
-def idtw_pairs(A: Sequence[np.ndarray], B: Sequence[np.ndarray]) -> np.ndarray:
-    """``idtw(A[p], B[p])`` for every p, in one batched kernel call."""
-    # Each distinct series is rescaled once: a profile pairs one series
-    # with many others.
-    distinct = {id(s): s for s in (*A, *B)}
-    scaled = {key: rescale(s) for key, s in distinct.items()}
-    return dtw_pairs([scaled[id(a)] for a in A], [scaled[id(b)] for b in B])
 
 
 METRICS: dict[str, Metric] = {
@@ -249,8 +243,10 @@ def profile(data: Dataset, metric: Metric, query) -> NeighborProfile:
             raise DimensionMismatch(f"query has length {q.shape[0]}, data has dimension {data.dim}")
         dists = np.linalg.norm(data.covariates - q[None, :], axis=1)
     elif metric is dtw or metric is idtw:
-        pairs = dtw_pairs if metric is dtw else idtw_pairs
-        dists = pairs([q] * len(data), list(data.covariates))
+        rows = list(data.covariates)
+        if metric is idtw:
+            q, rows = rescale(q), [rescale(x) for x in rows]
+        dists = dtw_pairs([q] * len(rows), rows)
     else:
         dists = np.array([metric(q, x) for x in data.covariates], dtype=np.float64)
     order = stable_argsort(dists)
@@ -259,6 +255,31 @@ def profile(data: Dataset, metric: Metric, query) -> NeighborProfile:
         labels=data.labels[order],
         source_indices=order,
     )
+
+
+def read_csv(path, name: str) -> list[tuple[int, list[str]]]:
+    """The (line number, fields) pairs of the nonblank records of the CSV
+    file at ``path``: UTF-8 text with an optional byte-order mark. ``name``
+    says which file a ParseError is about."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            records = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise ParseError(f"{name} is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from None
+    return [(lineno, record) for lineno, record in enumerate(records, start=1)
+            if len(record) > 1 or (record and record[0].strip())]
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write ``header``, then ``rows``, to ``path`` as CSV. Every float
+    (numpy's included) is written as ``repr(float(v))``, so doubles
+    round-trip; None is written as an empty field."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def strict_floor(x: float) -> int:

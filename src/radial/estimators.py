@@ -216,11 +216,11 @@ def _local_fit(
 def _ks(batch: ProfileBatch, h: float) -> BatchEstimate:
     if not h > 0:
         raise ParameterError("bandwidth must be positive")
-    inside = batch.radii <= h
-    used = inside.sum(axis=1)
+    used = (batch.radii <= h).sum(axis=1)
     if np.any(used == 0):
         raise EmptyWindowError(f"no point within bandwidth {h}")
-    return BatchEstimate(np.where(inside, batch.labels, 0.0).sum(axis=1) / used, used)
+    # Rows are sorted, so the points within h are each row's first ones.
+    return _knn(batch, used)
 
 
 def _knn(batch: ProfileBatch, k) -> BatchEstimate:
@@ -465,8 +465,7 @@ METHODS: dict[str, Method] = {m.kind: m for m in (
            lambda batch, k_vec, q: _msknn(batch, k_vec, q, "poly", "squared")),
     Method("msknn-logi", (_K_VEC, _Q, _choice("loss", "logistic", logistic="logistic", logit_squared="logit_squared")),
            lambda batch, k_vec, q, loss: _msknn(batch, k_vec, q, "logi", loss)),
-    Method("lrr", (_WEIGHT, _Q, _choice("loss", "squared", squared="squared", logistic="logistic")),
-           lambda batch, weight, q, loss: _lrr(batch, weight, q, loss)),
+    Method("lrr", (_WEIGHT, _Q), lambda batch, weight, q: _lrr(batch, weight, q)),
     Method("lrlr", (_WEIGHT, _Q), lambda batch, weight, q: _lrr(batch, weight, q, "logistic")),
 )}
 

@@ -8,7 +8,6 @@ estimators run the same kernels on batches of one.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from scipy.special import expit
 
 from . import estimators, localfit
 from ._parallel import indexed_map
-from .core import Dataset, stable_argsort
+from .core import stable_argsort, write_csv
 from .errors import DimensionMismatch, EmptyWindowError, ParameterError
 
 # Not called here (the kernels call localfit's solvers); the benchmark's
@@ -81,12 +80,6 @@ def clip01(z):
     return np.minimum(np.maximum(z, 0.0), 1.0)
 
 
-def bayes_classify(eta_value) -> int | np.ndarray:
-    """Classification under the true label probability (ties go to 1)."""
-    out = np.asarray(eta_value) >= 0.5
-    return int(out) if out.ndim == 0 else out.astype(np.int64)
-
-
 def concordance(pred, ref) -> float:
     """Fraction of agreeing positions between two label lists."""
     pred = np.asarray(pred)
@@ -117,18 +110,6 @@ def _draw_trial(config: SyntheticConfig, rng: np.random.Generator) -> TrialArray
     test_eta = eta_true(test_x)
     test_y = (rng.random(config.n_test) < test_eta).astype(np.int64)
     return TrialArrays(train_x, train_y, test_x, test_y, test_eta)
-
-
-def generate_trial(config: SyntheticConfig, rng: np.random.Generator):
-    """One benchmark trial as (train Dataset, test Dataset, test_eta).
-
-    Training labels are Bernoulli draws of the noise-perturbed (and
-    clipped) ground truth; test labels are noise-free Bernoulli draws.
-    """
-    arrays = _draw_trial(config, rng)
-    train = Dataset.from_arrays(arrays.train_x, arrays.train_y)
-    test = Dataset.from_arrays(arrays.test_x, arrays.test_y)
-    return train, test, arrays.test_eta
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +235,12 @@ def run_benchmark(
         rng = np.random.default_rng(seed)
         out = np.full((len(methods), 2), np.nan)
         arrays, estimates = trial_estimates(config, rng, methods)
-        bayes = bayes_classify(arrays.test_eta)
+        bayes = estimators.classify(arrays.test_eta)
         for i, name in enumerate(names):
             est = estimates[name]
             if np.isnan(est).any():  # method skipped for this trial
                 continue
-            pred = (est >= 0.5).astype(np.int64)
+            pred = estimators.classify(est)
             out[i, 0] = concordance(pred, arrays.test_y)
             out[i, 1] = concordance(pred, bayes)
         return out
@@ -279,18 +260,10 @@ def run_benchmark(
 
 
 def write_benchmark_csv(rows: Sequence[BenchmarkRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "criterion", "mean", "se", "reps", "seed"])
-        for row in rows:
-            writer.writerow([row.method, row.criterion, repr(row.mean), repr(row.se), row.reps, row.seed])
+    write_csv(path, ["method", "criterion", "mean", "se", "reps", "seed"],
+              ((r.method, r.criterion, r.mean, r.se, r.reps, r.seed) for r in rows))
 
 
 def write_estimates_csv(test_eta, estimates: dict, path) -> None:
     """Per-query estimate columns for one trial (for external plotting)."""
-    names = list(estimates)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eta_true"] + names)
-        for i in range(len(test_eta)):
-            writer.writerow([repr(float(test_eta[i]))] + [repr(float(estimates[n][i])) for n in names])
+    write_csv(path, ["eta_true", *estimates], np.column_stack([test_eta, *estimates.values()]))

@@ -12,7 +12,6 @@ experiments built on them.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -22,7 +21,7 @@ import numpy as np
 # indexed_map stays importable here: bench/radbench/layers.py traces the
 # radial.theorylab.indexed_map binding.
 from ._parallel import indexed_map  # noqa: F401
-from .core import strict_floor
+from .core import strict_floor, write_csv
 from .errors import ConfigurationError, DimensionMismatch, ParameterError
 from .estimators import ProfileBatch, UniformInBall, _lrr
 # solve_wls stays importable here: bench/radbench/layers.py traces the
@@ -90,7 +89,6 @@ class DesignState:
     zeta: float | None
     rho: np.ndarray
     event_holds: bool
-    rank_deficient: bool = False
 
 
 def design_state(radii, config: TheoryConfig) -> DesignState:
@@ -109,7 +107,6 @@ def design_state(radii, config: TheoryConfig) -> DesignState:
     u, s, _ = np.linalg.svd(r_matrix, full_matrices=False)
     cutoff = max(n, omega) * np.finfo(np.float64).eps * (s.max() if s.size else 0.0)
     rank = int((s > cutoff).sum())
-    rank_deficient = rank < min(n, omega)
     q = u[:, :rank]
 
     if n < omega:
@@ -130,7 +127,7 @@ def design_state(radii, config: TheoryConfig) -> DesignState:
         rho = residual / (n - zeta)
     else:
         rho = np.empty(0)
-    return DesignState(n, r_matrix, zeta, rho, event, rank_deficient)
+    return DesignState(n, r_matrix, zeta, rho, event)
 
 
 def lrr_closed_form(state: DesignState, labels) -> float:
@@ -342,16 +339,9 @@ def zeta_concentration(
 
 
 def write_rate_csv(report: RateReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "risk_mean", "risk_se"])
-        for n, risk, se in zip(report.sample_sizes, report.risks, report.risk_ses):
-            writer.writerow([n, repr(risk), repr(se)])
+    write_csv(path, ["n", "risk_mean", "risk_se"], zip(report.sample_sizes, report.risks, report.risk_ses))
 
 
 def write_zeta_csv(rows: Sequence[ConcentrationRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "zeta_over_N_mean", "zeta_over_N_sd"])
-        for row in rows:
-            writer.writerow([row.n_points, repr(row.ratio_mean), repr(row.ratio_sd)])
+    write_csv(path, ["N", "zeta_over_N_mean", "zeta_over_N_sd"],
+              ((r.n_points, r.ratio_mean, r.ratio_sd) for r in rows))

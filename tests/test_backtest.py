@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import generators
 from radial import backtest as bt
 from radial import core, estimators, localfit
 from radial.errors import ConfigurationError, DomainError, ParameterError, ParseError
@@ -491,18 +492,24 @@ class TestGridTuning:
 
 class TestSyntheticSeries:
     def test_deterministic(self):
-        a = bt.synthetic_price_series(n_months=24, seed=1)
-        b = bt.synthetic_price_series(n_months=24, seed=1)
+        a = generators.synthetic_price_series(n_months=24, seed=1)
+        b = generators.synthetic_price_series(n_months=24, seed=1)
         assert a.dates == b.dates
         assert np.array_equal(a.closes, b.closes)
 
     def test_weekdays_only(self):
-        series = bt.synthetic_price_series(n_months=6, seed=2)
+        series = generators.synthetic_price_series(n_months=6, seed=2)
         assert all(d.weekday() < 5 for d in series.dates)
 
     def test_positive_prices(self):
-        series = bt.synthetic_price_series(n_months=60, seed=3)
+        series = generators.synthetic_price_series(n_months=60, seed=3)
         assert series.closes.min() > 0
+
+    def test_regenerates_the_bundled_fixture(self, tmp_path):
+        path = tmp_path / "series.csv"
+        generators.write_series_csv(generators.synthetic_price_series(), path)
+        with open(bt.bundled_fixture_path(), "rb") as fh:
+            assert path.read_bytes() == fh.read()
 
 
 def test_ledger_csv(tmp_path):

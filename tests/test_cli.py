@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import synthetic_price_series, write_series_csv
 from radial import backtest as bt
 from radial import estimators
 from radial.cli import main
@@ -19,7 +20,7 @@ def run_cli(capsys, *argv):
 
 def small_price_csv(tmp_path, n_months=200, seed=5):
     path = tmp_path / "prices.csv"
-    bt.write_series_csv(bt.synthetic_price_series(n_months=n_months, seed=seed), path)
+    write_series_csv(synthetic_price_series(n_months=n_months, seed=seed), path)
     return path
 
 
@@ -195,6 +196,19 @@ class TestEstimateCommand:
         assert code == 1
         assert "line 2" in err
 
+    def test_whitespace_only_line_is_skipped(self, tmp_path, capsys):
+        outputs = []
+        for name, content in (("plain.csv", "1.0,2.0,1\n3.0,4.0,0\n"), ("spaced.csv", "1.0,2.0,1\n   \n3.0,4.0,0\n")):
+            train = tmp_path / name
+            train.write_text(content)
+            code, out, _ = run_cli(
+                capsys, "estimate", "--train", str(train), "--query", "1,2",
+                "--method", "knn", "--params", "k=2",
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
         rows = b"1.0,2.0,1\n3.0,4.0,0\n"
         outputs = []
@@ -316,13 +330,14 @@ BUY = ["backtest", "--input", "builtin", "--method", "buy"]
     (["rate", "--reps", "1", "--beta", "inf"], 1, "beta must be positive and finite"),
     (["backtest", "--input", "builtin", "--method", "knn", "--train-months", "10",
       "--validation-months", "5"], 1, "validation window of 5 leaves 5 tuning months"),
+    (["--method", "lrr", "--params", "loss=logistic"], 2, "unknown parameter 'loss'"),
 ], ids=["ks-without-h", "k-not-int", "k_vec-not-int", "unknown-weight", "bad-month", "zeta-d0",
         "unknown-name-with-line-break", "lpor-on-ragged-rows", "bench-negative-seed",
         "rate-negative-seed", "zeta-negative-seed", "backtest-negative-seed", "query-not-numbers",
         "query-empty", "test-start-after-history", "validation-months-0", "zeta-negative-r-tilde",
         "zeta-zero-r-tilde", "zeta-nan-r-tilde", "rate-nan-beta", "ks-nan-h", "lpor-nan-h",
         "rate-size-0", "rate-negative-d", "rate-negative-beta", "zeta-infinite-r-tilde",
-        "rate-huge-beta", "rate-infinite-beta", "backtest-tuning-window-below-k"])
+        "rate-huge-beta", "rate-infinite-beta", "backtest-tuning-window-below-k", "lrr-loss"])
 def test_bad_input_exits_with_one_line(train_csv, ragged_csv, argv, code, needle):
     if argv[0] == "--method":
         argv = ESTIMATE + [train_csv] + argv

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -78,6 +80,15 @@ class TestIdtw:
     def test_zero_first_element(self):
         with pytest.raises(DomainError):
             core.idtw([0, 1], [1, 2])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.floats(0.5, 50), min_size=1, max_size=8), min_size=1, max_size=6),
+           st.lists(st.floats(0.5, 50), min_size=1, max_size=8))
+    def test_profile_radii_equal_pair_calls(self, rows, query):
+        data = core.Dataset.from_sequences(rows, [0] * len(rows))
+        prof = core.profile(data, core.idtw, query)
+        pairs = np.array([core.idtw(query, row) for row in rows])
+        assert prof.radii.tobytes() == pairs[prof.source_indices].tobytes()
 
 
 class TestProfile:
@@ -211,6 +222,30 @@ def test_strict_floor_domain():
         core.strict_floor(0)
     with pytest.raises(DomainError):
         core.strict_floor(-1.5)
+
+
+class TestCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=5), st.integers(-(2**70), 2**70))
+    @example([0.0, -0.0, 5e-324, -1e-310, -2.2250738585072014e-308, 1e308, -np.inf], 0)
+    def test_doubles_round_trip_and_numpy_floats_write_alike(self, tmp_path_factory, values, n):
+        folder = tmp_path_factory.mktemp("csv")
+        plain, numpy = folder / "plain.csv", folder / "numpy.csv"
+        core.write_csv(plain, ["n", "v"], [(n, v) for v in values] + [("", None)])
+        core.write_csv(numpy, ["n", "v"], [(n, np.float64(v)) for v in values] + [("", None)])
+        assert plain.read_bytes() == numpy.read_bytes()
+        records = core.read_csv(plain, "table")
+        assert records[0] == (1, ["n", "v"])
+        assert records[-1] == (len(values) + 2, ["", ""])
+        for (_, (text_n, text_v)), v in zip(records[1:], values):
+            assert int(text_n) == n
+            got = float(text_v)
+            assert np.isnan(got) if np.isnan(v) else struct.pack("<d", got) == struct.pack("<d", v)
+
+    def test_blank_records_are_skipped_and_lines_counted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n\n   \n1, 2\n")
+        assert core.read_csv(path, "table") == [(1, ["a", "b"]), (4, ["1", " 2"])]
 
 
 def test_get_metric():

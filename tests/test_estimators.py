@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -415,6 +415,18 @@ class TestPerRowParameters:
         ladders = np.sort([rng.choice(np.arange(1, n + 1), size=J, replace=False) for _ in range(count)], axis=1)
         _same(estimators._msknn(_tiled(batch, count), np.repeat(ladders, m, axis=0), q, *combination),
               [estimators._msknn(batch, ladder.tolist(), q, *combination) for ladder in ladders])
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_batches(), st.floats(0.25, 3.0))
+    def test_ks_equals_knn_at_the_window_count(self, drawn, h):
+        batch, _ = drawn
+        inside = batch.radii <= h
+        used = inside.sum(axis=1)
+        assume(np.all(used > 0))
+        got = estimators._ks(batch, h)
+        _same(got, [estimators._knn(batch, used)])
+        # The plain boxcar mean: the labels within h, summed, over their count.
+        assert got.values.tobytes() == (np.where(inside, batch.labels, 0.0).sum(axis=1) / used).tobytes()
 
     def test_bad_per_row_k_is_named(self):
         batch = estimators.ProfileBatch(np.arange(8.0).reshape(2, 4), np.ones((2, 4)))

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 from scipy.stats import norm
 
+from generators import generate_trial
 from radial import core, estimators, synthlab as sl
 from radial.errors import DimensionMismatch, ParameterError
 
@@ -44,11 +45,11 @@ def test_clip01(z, expected):
 
 class TestBayesClassify:
     def test_peak_is_positive(self):
-        assert sl.bayes_classify(sl.eta_true([0.5, 0.5, 0.5])) == 1
+        assert estimators.classify(sl.eta_true([0.5, 0.5, 0.5])) == 1
 
     def test_threshold(self):
-        assert sl.bayes_classify(0.3) == 0
-        assert sl.bayes_classify(0.5) == 1
+        assert estimators.classify(0.3) == 0
+        assert estimators.classify(0.5) == 1
 
 
 class TestConcordance:
@@ -81,8 +82,8 @@ def test_config_rejects_nan(fields):
 class TestGenerateTrial:
     def test_bitwise_determinism(self):
         cfg = sl.SyntheticConfig(n_train=50, n_test=20, reps=1, rng_seed=0)
-        train_a, test_a, eta_a = sl.generate_trial(cfg, np.random.default_rng(42))
-        train_b, test_b, eta_b = sl.generate_trial(cfg, np.random.default_rng(42))
+        train_a, test_a, eta_a = generate_trial(cfg, np.random.default_rng(42))
+        train_b, test_b, eta_b = generate_trial(cfg, np.random.default_rng(42))
         for a, b in ((train_a, train_b), (test_a, test_b)):
             assert np.array_equal(a.covariates, b.covariates)
             assert np.array_equal(a.labels, b.labels)
