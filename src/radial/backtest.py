@@ -23,7 +23,7 @@ import numpy as np
 from . import estimators
 # idtw stays importable here: bench/radbench/layers.py traces the
 # radial.backtest.idtw binding.
-from .core import dtw_pairs, idtw, read_csv, rescale, stable_argsort, write_csv  # noqa: F401
+from .core import dtw_columns, idtw, read_csv, rescale, stable_argsort, write_csv  # noqa: F401
 from .errors import ConfigurationError, DomainError, ParameterError, ParseError
 
 MonthId = tuple[int, int]
@@ -258,44 +258,48 @@ def accuracy_report(ledger: BacktestLedger) -> float:
 
 
 class _WalkDistances:
-    """Rescaled-warping distances between the months of one walk.
-
-    ``dist`` is a symmetric matrix over every labeled month, NaN until the
-    pair is first needed; a month's label and ``rescale``-d closes are read
-    from the history on first use.
+    """Rescaled-warping distances from each month of one walk to the months
+    before it: row i of ``dist`` holds them from some month on, all filled
+    in one kernel call, and is NaN elsewhere. A month's label and
+    ``rescale``-d closes are read on first use, the closes into column i of
+    one zero-padded (most days, months) array.
     """
 
     def __init__(self, months):
         self.months = months
         self.dist = np.full((len(months), len(months)), np.nan)
-        self.closes: list[np.ndarray | None] = [None] * len(months)
+        self.closes = np.zeros((0, len(months)))
+        self.lengths = np.zeros(len(months), dtype=np.int64)
         self.labels = np.zeros(len(months))
 
     def read(self, i: int) -> None:
-        if self.closes[i] is None:
+        if not self.lengths[i]:
             month = self.months[i]
-            self.closes[i], self.labels[i] = rescale(month.block.closes), month.label
+            closes = rescale(month.block.closes)
+            if len(closes) > len(self.closes):
+                self.closes = np.pad(self.closes, ((0, len(closes) - len(self.closes)), (0, 0)))
+            self.closes[:len(closes), i] = closes
+            self.lengths[i], self.labels[i] = len(closes), month.label
 
     def batch(self, queries: range, pool: range) -> estimators.ProfileBatch:
-        """The profiles of months ``queries`` over the months ``pool``.
+        """The profiles of months ``queries`` over the earlier months ``pool``.
 
-        The missing distances are computed in one kernel call; each row is
-        then sorted stably, so ties go to the earlier month.
+        A query month whose row does not reach back to the pool fills it
+        from there; each row is then sorted stably, so ties go to the
+        earlier month.
         """
-        for i in (*queries, *pool):
-            if self.closes[i] is None:
-                self.read(i)
-        block = self.dist[queries.start:queries.stop, pool.start:pool.stop]
-        rows, cols = np.nonzero(np.isnan(block))
-        if rows.size:
-            rows, cols = rows + queries.start, cols + pool.start
-            values = dtw_pairs([self.closes[i] for i in rows], [self.closes[j] for j in cols])
-            self.dist[rows, cols] = self.dist[cols, rows] = values
+        s = pool.start
+        for i in queries.start + np.flatnonzero(np.isnan(self.dist[queries.start:queries.stop, s])):
+            for j in s + np.flatnonzero(self.lengths[s:i + 1] == 0):
+                self.read(int(j))
+            a = self.closes[:self.lengths[i], i]
+            self.dist[i, s:i] = dtw_columns(a, self.closes[:, s:i], self.lengths[s:i])
+        block = self.dist[queries.start:queries.stop, s:pool.stop]
         order = stable_argsort(block)
         return estimators.ProfileBatch(
             radii=np.take_along_axis(block, order, axis=1),
-            labels=self.labels[pool.start:pool.stop][order],
-            index=order + pool.start,
+            labels=self.labels[s:pool.stop][order],
+            index=order + s,
         )
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._dtw import warp_sqcost
+from ._dtw import pad, warp_sqcost
 from .errors import DimensionMismatch, DomainError, ParseError
 
 Metric = Callable[[np.ndarray, np.ndarray], float]
@@ -153,22 +153,20 @@ def dtw(a, b) -> float:
     at the end, so equal-length inputs satisfy ``dtw(a, b) <= euclidean(a, b)``.
     """
     a, b = _series_pair(a, b, "dtw")
-    return float(dtw_pairs([a], [b])[0])
+    return float(dtw_columns(a, *pad([b]))[0])
 
 
 def idtw(a, b) -> float:
     """Time-warping distance after rescaling each series by its first element."""
     a, b = _series_pair(a, b, "idtw")
-    return float(dtw_pairs([rescale(a)], [rescale(b)])[0])
+    return float(dtw_columns(rescale(a), *pad([rescale(b)]))[0])
 
 
-def dtw_pairs(A: Sequence[np.ndarray], B: Sequence[np.ndarray]) -> np.ndarray:
-    """``dtw(A[p], B[p])`` for every p, in one batched kernel call.
-
-    The series must be nonempty 1-d float64 arrays; the values are bitwise
-    equal to the one-pair calls.
-    """
-    return np.sqrt(warp_sqcost(A, B))
+def dtw_columns(a: np.ndarray, B: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``dtw(a, B[:lengths[p], p])`` for every column p of the zero-padded
+    array ``B``, in one kernel call: ``a`` must be a nonempty 1-d float64
+    array and every length positive. Bitwise equal to the one-pair calls."""
+    return np.sqrt(warp_sqcost(a, B, lengths))
 
 
 def rescale(series: np.ndarray) -> np.ndarray:
@@ -246,7 +244,7 @@ def profile(data: Dataset, metric: Metric, query) -> NeighborProfile:
         rows = list(data.covariates)
         if metric is idtw:
             q, rows = rescale(q), [rescale(x) for x in rows]
-        dists = dtw_pairs([q] * len(rows), rows)
+        dists = dtw_columns(q, *pad(rows))
     else:
         dists = np.array([metric(q, x) for x in data.covariates], dtype=np.float64)
     order = stable_argsort(dists)
@@ -259,17 +257,17 @@ def profile(data: Dataset, metric: Metric, query) -> NeighborProfile:
 
 def read_csv(path, name: str) -> list[tuple[int, list[str]]]:
     """The (line number, fields) pairs of the nonblank records of the CSV
-    file at ``path``: UTF-8 text with an optional byte-order mark. ``name``
-    says which file a ParseError is about."""
+    file at ``path`` (UTF-8, optional byte-order mark), each numbered by the
+    physical line it ends on. ``name`` says which file a ParseError is about."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            records = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            return [(reader.line_num, record) for record in reader
+                    if len(record) > 1 or (record and record[0].strip())]
     except UnicodeDecodeError:
         raise ParseError(f"{name} is not UTF-8 text") from None
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}") from None
-    return [(lineno, record) for lineno, record in enumerate(records, start=1)
-            if len(record) > 1 or (record and record[0].strip())]
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:

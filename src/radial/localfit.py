@@ -11,7 +11,7 @@ are two designs:
 
 - the dense design holds the standardized (B, n, p) array, and each of its
   contractions is a batched matmul on BLAS, the Hessian a weighted Gram
-  matrix; least squares takes the SVD of the weighted array;
+  matrix;
 - the radial design serves ``RadialFeatures``, whose columns are powers of
   one radius r. It holds the centered, scaled radius u = (r - m) / s (and,
   once the Newton loop needs them, its powers up to twice the basis's
@@ -19,10 +19,11 @@ are two designs:
   of u to the standardized columns. Its
   Hessian is M^T K M for the Hankel matrix K of the power sums sum c u^k
   (the moment form of local polynomial fitting), and its gradient is
-  M^T (sum v u^k). Least squares factors K = F^T F by its
-  eigendecomposition and takes the SVD of the small matrix F M. The column
-  scaling is read from the same power sums, so the expanded array is
-  formed only for a least-squares problem whose K is too ill-conditioned.
+  M^T (sum v u^k). The column scaling is read from the same power sums.
+
+Least squares solves each problem from its p x p Gram matrix G = X^T W X
+and X^T W y on either design, with one refinement step; only a problem whose
+G is conditioned worse than ``GRAM_CONDITION_LIMIT`` takes the SVD.
 
 The logistic solver is one damped-Newton loop over either design. It
 scores a candidate from its linear predictor f = X theta in one pass over
@@ -55,11 +56,10 @@ SEPARATION_RIDGE = 1e-3
 
 _MAX_HALVINGS = 30
 
-# Forming K = U^T W U squares the condition number of the weighted powers
-# of u. A radial least-squares problem whose K is worse conditioned than
-# this goes through the expanded design's SVD instead, so its rank test
-# still sees singular values down to the SVD's own cutoff.
-GRAM_CONDITION_LIMIT = 1e8
+# Least squares from the Gram matrix G = X^T W X loses about cond(G) eps, and
+# a refinement step takes off a factor cond(G) eps of that; past this limit,
+# it takes the SVD of W^(1/2) X.
+GRAM_CONDITION_LIMIT = 1e4
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ class RadialFeatures:
 
     ``fit_logistic`` and ``solve_wls`` fit them through the radial design,
     from power sums of the radius; ``solve_wls`` expands only the problems
-    whose power sums are too ill-conditioned (``GRAM_CONDITION_LIMIT``).
+    whose Gram matrix is too ill-conditioned (``GRAM_CONDITION_LIMIT``).
     Anything else reads them as the expanded (..., n, p) array:
     ``np.asarray`` expands them, and ``shape`` is that array's.
     """
@@ -263,20 +263,6 @@ def _destandardize(theta_s, scale, center, has_intercept, intercept_value):
 # ---------------------------------------------------------------------------
 
 
-def _least_norm(A, b, n):
-    """Least-norm minimizer of |A theta - b| for each problem of a (B, k, p)
-    batch, with singular values up to max(n, p) eps s_max, for a design of
-    n rows, taken as zero; and whether any were."""
-    p = A.shape[-1]
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    cutoff = max(n, p) * np.finfo(np.float64).eps * s.max(axis=-1, keepdims=True)
-    keep = s > cutoff
-    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    utb = np.einsum("...nk,...n->...k", U, b)
-    theta_s = np.einsum("...kp,...k->...p", Vt, s_inv * utb)
-    return theta_s, keep.sum(axis=-1) < p
-
-
 class _DenseDesign:
     """A flattened (B, n, p) standardized design held as it is.
 
@@ -305,12 +291,9 @@ class _DenseDesign:
     def take(self, rows) -> _DenseDesign:
         return _DenseDesign(self.X[rows])
 
-    def lstsq(self, y, w):
-        """The least-norm minimizer of sum w (y - X theta)^2, (B, p), whether
-        X was rank deficient, (B,), and which problems were solved: all."""
-        sw = np.sqrt(w)
-        theta_s, flag = _least_norm(sw[..., :, None] * self.X, sw * y, self.X.shape[-2])
-        return theta_s, flag, np.ones(len(y), dtype=bool)
+    def normal_equations(self, y, w):
+        """X^T diag(w) X, (B, p, p), and X^T (w y), (B, p)."""
+        return self.gram(w), self.tdot(w * y)
 
 
 def _power_sums(u, c, count):
@@ -377,29 +360,11 @@ class _RadialDesign:
     def take(self, rows) -> _RadialDesign:
         return _RadialDesign(self.u[rows], self.M[rows], self.sums[rows])
 
-    def lstsq(self, y, w):
-        """``_DenseDesign.lstsq`` through K = F^T F, for the problems whose
-        K is conditioned within ``GRAM_CONDITION_LIMIT``; the others are
-        left unsolved, at theta 0. ``w`` are the weights the design was
-        built with.
-
-        With K = Q diag(lam) Q^T, F = diag(sqrt(lam)) Q^T, the weighted
-        design sqrt(w) U M is G (F M) for a G = sqrt(w) U F^-1 with
-        orthonormal columns. So the small F M has its singular values, and
-        G^T sqrt(w) y = F^-T (sum w y u^k).
-        """
-        lam, Q = np.linalg.eigh(self.sums[:, self.hankel])
-        solved = lam[:, 0] > lam[:, -1] / GRAM_CONDITION_LIMIT
-        theta_s = np.zeros((len(y), self.M.shape[-1]))
-        flag = np.zeros(len(y), dtype=bool)
-        if solved.any():
-            root, Qt = np.sqrt(lam[solved]), np.swapaxes(Q[solved], -1, -2)
-            b = _power_sums(self.u, w * y, self.M.shape[-2])[solved]
-            z = (Qt @ b[..., None])[..., 0] / root
-            theta_s[solved], flag[solved] = _least_norm(
-                root[..., None] * (Qt @ self.M[solved]), z, self.u.shape[-1]
-            )
-        return theta_s, flag, solved
+    def normal_equations(self, y, w):
+        """``_DenseDesign.normal_equations`` from power sums, for the weights
+        ``w`` the design was built with: M^T K M and M^T (sum w y u^k)."""
+        b = _power_sums(self.u, w * y, self.M.shape[-2])
+        return self.Mt @ self.sums[:, self.hankel] @ self.M, (self.Mt @ b[..., None])[..., 0]
 
 
 def _radial_design(features: RadialFeatures, weights: np.ndarray):
@@ -474,15 +439,49 @@ def _design(features, weights):
 # ---------------------------------------------------------------------------
 
 
+def _gram_solve(design, y, w):
+    """The minimizer of sum w (y - X theta)^2 of each problem of a flattened
+    design, (B, p), from the eigendecomposition of G = X^T diag(w) X and one
+    refinement step, and which problems have cond(G) within the limit."""
+    G, b = design.normal_equations(y, w)
+    lam, Q = np.linalg.eigh(G)
+    solved = lam[:, 0] > lam[:, -1] / GRAM_CONDITION_LIMIT
+    lam, Qt = np.where(solved[:, None], lam, 1.0), np.swapaxes(Q, -1, -2)
+    solve = lambda b: (Q @ ((Qt @ b[..., None])[..., 0] / lam)[..., None])[..., 0]  # noqa: E731
+    theta = solve(b)
+    # The step's residual comes from X itself, whose condition is not squared.
+    return theta + solve(design.tdot(w * (y - design.dot(theta)))), solved
+
+
+def _svd_solve(X, y, w):
+    """``solve_wls`` of the expanded (B, n, p) features ``X`` by the SVD of
+    their standardized, weighted array, singular values up to max(n, p) eps
+    s_max taken as zero: the least-norm minimizer, and whether any were."""
+    n, p = X.shape[-2:]
+    design, scaling = _design(X, w)
+    sw = np.sqrt(w)
+    U, s, Vt = np.linalg.svd(sw[..., None] * design.X, full_matrices=False)
+    cutoff = max(n, p) * np.finfo(np.float64).eps * s.max(axis=-1, keepdims=True)
+    keep = s > cutoff
+    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    utb = np.einsum("...nk,...n->...k", U, sw * y)
+    theta_s = np.einsum("...kp,...k->...p", Vt, s_inv * utb)
+    return _destandardize(theta_s, *scaling), keep.sum(axis=-1) < p
+
+
 def solve_wls(features, targets, weights):
     """Minimize sum_i w_i (y_i - x_i . theta)^2 over leading batch dims.
+
+    Each problem is solved from the Gram matrix G = X^T W X of its
+    standardized design and X^T W y (for ``RadialFeatures``, from power
+    sums of the radius), and refined once from its residual; one with
+    cond(G) past ``GRAM_CONDITION_LIMIT`` is solved by the SVD of its
+    expanded, weighted array, whose rank test sees singular values down to
+    the SVD's own cutoff.
 
     Parameters
     ----------
     features : (..., n, p) array, or ``RadialFeatures``
-        ``RadialFeatures`` are solved from power sums of the radius, except
-        problems whose power sums are too ill-conditioned, which are
-        solved as the expanded array.
     targets : (..., n) array
     weights : (..., n) array of nonnegative weights
 
@@ -501,15 +500,15 @@ def solve_wls(features, targets, weights):
     yf, wf = y.reshape(-1, n), w.reshape(-1, n)
 
     design, scaling = _design(features, w)
-    theta_s, condition_flag, solved = design.lstsq(yf, wf)
+    theta_s, solved = _gram_solve(design, yf, wf)
     theta = _destandardize(theta_s.reshape(batch_shape + (p,)), *scaling).reshape(-1, p)
+    condition_flag = np.zeros(len(yf), dtype=bool)
     if not solved.all():
-        # The problems the radial design left unsolved, as expanded arrays.
         rest = ~solved
-        X = features.basis.expand(features.radii.reshape(-1, n)[rest])
-        dense, dense_scaling = _design(X, wf[rest])
-        theta_s, condition_flag[rest], _ = dense.lstsq(yf[rest], wf[rest])
-        theta[rest] = _destandardize(theta_s, *dense_scaling)
+        X = (features.basis.expand(features.radii.reshape(-1, n)[rest])
+             if isinstance(features, RadialFeatures)
+             else np.ascontiguousarray(features, dtype=np.float64).reshape(-1, n, p)[rest])
+        theta[rest], condition_flag[rest] = _svd_solve(X, yf[rest], wf[rest])
     return theta.reshape(batch_shape + (p,)), condition_flag.reshape(batch_shape)
 
 

@@ -484,6 +484,35 @@ class TestGridTuning:
         assert len(bt.walk_forward_predict(labeled, start, end, "msknn-logi", config).months) == 3
         assert len(calls) == 2 * 3
 
+    @pytest.mark.parametrize("method", ["msknn-logi", "lrlr-w1"])
+    def test_one_kernel_call_per_row_and_none_to_tune_after_the_first_month(self, monkeypatch, method):
+        labeled = bt.label_months(bt.segment_months(bt.ingest_csv(bt.bundled_fixture_path())))
+        # Each month's rescaled closes name the row a kernel call fills.
+        row_of = {core.rescale(m.block.closes).tobytes(): i for i, m in enumerate(labeled)}
+        assert len(row_of) == len(labeled)
+        calls, phase = [], {}
+        dtw_columns = bt.dtw_columns
+
+        def counting(a, B, lengths):
+            calls.append((phase["stage"], phase["t"], row_of[a.tobytes()], B.shape[1]))
+            return dtw_columns(a, B, lengths)
+
+        monkeypatch.setattr(bt, "dtw_columns", counting)
+        first, last = 150, 159
+        T, V = SMALL.n_train, SMALL.validation_window
+        bt.walk_forward_predict(labeled, labeled[first].block.month_id, labeled[last].block.month_id,
+                                method, SMALL, phase_hook=lambda stage, t: phase.update(stage=stage, t=t))
+        tune = [(t, row, width) for stage, t, row, width in calls if stage == "tune"]
+        predict = [(t, row, width) for stage, t, row, width in calls if stage == "predict"]
+        assert len(tune) + len(predict) == len(calls)
+        # The first tune fills each validation month's row back to its pool;
+        # every later tune reads rows that are already filled.
+        if method == "msknn-logi":
+            assert tune == [(first, v, v - (first - T)) for v in range(first - V, first)]
+        else:
+            assert tune == []
+        assert predict == [(t, t, T) for t in range(first, last + 1)]
+
 
 # ---------------------------------------------------------------------------
 # Fixture generation and output

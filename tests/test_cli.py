@@ -368,6 +368,21 @@ def test_bad_file_contents_exit_with_one_line(tmp_path):
         assert len(err.splitlines()) == 1 and "error: " in err and needle in err
 
 
+def test_parse_errors_name_the_physical_line(tmp_path):
+    # A quoted field spans lines 2 and 3, so the bad field is on line 4.
+    train = tmp_path / "train.csv"
+    train.write_text('1.0,2.0,1\n"3.0\n",4.0,0\noops,1,1\n')
+    prices = tmp_path / "prices.csv"
+    prices.write_text('2020-01-02,1.0\n2020-01-03,"2.0\n"\n2020-01-06,x\n')
+    for argv, needle in (
+        (ESTIMATE + [str(train), "--method", "knn", "--params", "k=1"], "line 4: could not convert"),
+        (["backtest", "--input", str(prices), "--method", "buy"], "line 4: bad close 'x'"),
+    ):
+        code, err = exit_status(argv)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and needle in err
+
+
 _PARAM_TEXT = st.one_of(
     st.text(max_size=40),
     st.lists(

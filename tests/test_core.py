@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from radial import core
-from radial._dtw import warp_sqcost
+from radial._dtw import pad, warp_sqcost
 from radial.errors import DimensionMismatch, DomainError
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -308,9 +309,35 @@ class TestWarpKernel:
     @example([(np.array([1.0]), np.arange(30.0)), (np.arange(30.0), np.array([-2.0])),
               (np.array([3.0]), np.array([4.0])), (np.arange(7.0), np.arange(12.0)[::-1])])
     def test_batch_matches_scalar_recurrence_bitwise(self, pairs):
-        A, B = [a for a, _ in pairs], [b for _, b in pairs]
-        expected = np.array([scalar_warp_sqcost(a, b) for a, b in pairs])
-        assert warp_sqcost(A, B).tobytes() == expected.tobytes()
+        # Each pair's first series against the second series of every pair.
+        B, lengths = pad([b for _, b in pairs])
+        for a, _ in pairs:
+            expected = np.array([scalar_warp_sqcost(a, b) for _, b in pairs])
+            assert warp_sqcost(a, B, lengths).tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(long_series, st.lists(long_series, min_size=1, max_size=8), finite_floats, st.integers(0, 3))
+    def test_one_against_ragged_series_bitwise(self, a, series, fill, extra):
+        # Entries past a column's length, and rows past the longest column,
+        # hold any value: the kernel must not read them.
+        B, lengths = pad(series)
+        B = np.vstack([B, np.zeros((extra, B.shape[1]))])
+        B[np.arange(B.shape[0])[:, None] >= lengths] = fill
+        expected = np.array([scalar_warp_sqcost(a, b) for b in series])
+        assert warp_sqcost(a, B, lengths).tobytes() == expected.tobytes()
+
+    def test_long_series_need_memory_linear_in_length(self):
+        # Two 3,000-point series: the full table would be 72 MB; the kernel
+        # keeps three diagonals and the last row, about 100 kB.
+        a, b = np.zeros(3000), np.ones(3000)
+        tracemalloc.start()
+        try:
+            value = core.dtw(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == np.sqrt(3000.0)  # every alignment step costs 1
+        assert peak < 2**20
 
     @pytest.mark.parametrize("lengths", [(15, 24), (20, 20)], ids=["ragged", "equal-length"])
     @pytest.mark.parametrize("metric", [core.dtw, core.idtw], ids=["dtw", "idtw"])

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import expit
@@ -657,8 +657,8 @@ class TestRadialWls:
             assert flag[idx] == f1
 
     def test_features_expand_only_for_the_dense_fallback(self):
-        # Row 1 has two distinct radii, so its Hankel matrix of power sums
-        # up to u^4 is singular; it alone goes to the dense route.
+        # Row 1 has two distinct radii, so the Gram matrix of its three
+        # columns is singular; it alone goes to the SVD of the expanded array.
         rng = np.random.default_rng(8)
         radii = rng.uniform(0.0, 2.0, (3, 12))
         radii[1] = np.repeat([0.5, 1.5], 6)
@@ -667,22 +667,138 @@ class TestRadialWls:
         basis = RadialPoly(2)
 
         def solve(rows):
-            """solve_wls of these rows, and the dense designs it solved."""
+            """solve_wls of these rows, and the expanded arrays it solved by SVD."""
             features = RadialFeatures(radii[rows], basis)
-            dense_lstsq = localfit._DenseDesign.lstsq
             with mock.patch.object(RadialFeatures, "__array__", side_effect=AssertionError("expanded")):
-                with mock.patch.object(
-                    localfit._DenseDesign, "lstsq", autospec=True, side_effect=dense_lstsq
-                ) as spy:
+                with mock.patch.object(localfit, "_svd_solve", side_effect=localfit._svd_solve) as spy:
                     out = solve_wls(features, targets[rows], weights[rows])
             return out, [c.args[0] for c in spy.call_args_list]
 
         _, dense = solve([0, 2])
         assert dense == []
         (theta, flag), dense = solve([0, 1, 2])
-        assert len(dense) == 1 and dense[0].X.shape == (1, 12, 3)
+        assert len(dense) == 1 and dense[0].shape == (1, 12, 3)
         want, want_flag = solve_wls(basis.expand(radii[1]), targets[1], weights[1])
         assert theta[1].tobytes() == want.tobytes() and flag[1] == want_flag and flag[1]
+
+
+def least_norm_reference(A, b, n):
+    """The least-norm minimizer of |A theta - b| for each problem of a
+    (B, k, p) batch by its SVD, singular values up to max(n, p) eps s_max
+    taken as zero, and whether any were: how the dense design's problems
+    were solved before the Gram route."""
+    p = A.shape[-1]
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    cutoff = max(n, p) * np.finfo(np.float64).eps * s.max(axis=-1, keepdims=True)
+    keep = s > cutoff
+    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    utb = np.einsum("...nk,...n->...k", U, b)
+    return np.einsum("...kp,...k->...p", Vt, s_inv * utb), keep.sum(axis=-1) < p
+
+
+def svd_design_reference(design, y, w):
+    """The standardized coefficients of each problem of a flattened design by
+    the SVD of its weighted standardized array (for the radial design, U M
+    formed from the powers of u), and their rank flags."""
+    X = design.X if isinstance(design, localfit._DenseDesign) else np.swapaxes(design.low, -1, -2) @ design.M
+    sw = np.sqrt(w)
+    return least_norm_reference(sw[..., None] * X, sw * y, y.shape[-1])
+
+
+def expanded_svd_reference(X, y, w):
+    """solve_wls of the dense (B, n, p) array ``X`` as it was before the
+    Gram route: the SVD of the standardized, weighted array."""
+    Xs, *scaling = localfit._standardize(X, w)
+    sw = np.sqrt(w)
+    theta_s, flag = least_norm_reference(sw[..., None] * Xs, sw * y, X.shape[-2])
+    return localfit._destandardize(theta_s, *scaling), flag
+
+
+@st.composite
+def dense_wls_problems(draw):
+    """Dense least-squares batches: the expanded arrays of ``wls_problems``,
+    or ``MultivariatePoly`` designs over points of several scales, some
+    problems drawing their points from fewer levels than the basis has
+    columns, with zero-weight padding rows."""
+    if draw(st.booleans()):
+        features, targets, weights = draw(wls_problems())
+        return features.basis.expand(features.radii), targets, weights
+    batch = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = MultivariatePoly(draw(st.integers(0, 2)), draw(st.integers(1, 3)))
+    center, width = draw(st.sampled_from([(0.0, 1e-3), (0.0, 1.0), (5.0, 1.0), (0.0, 1e3)]))
+    n = draw(st.integers(1, 30))
+    z = center + width * rng.uniform(-1.0, 1.0, batch + (n, basis.dim))
+    if draw(st.booleans()):
+        levels = center + width * rng.uniform(-1.0, 1.0, (draw(st.integers(1, basis.output_dim)), basis.dim))
+        few = rng.uniform(size=batch) < 0.5
+        z = np.where(few[..., None, None], levels[rng.integers(0, len(levels), batch + (n,))], z)
+    weights = rng.uniform(0.1, 2.0, batch + (n,))
+    weights[..., draw(st.integers(1, n)):] = 0.0
+    return basis.expand(z), rng.normal(size=batch + (n,)), weights
+
+
+def off_center_quadratics():
+    """Quadratics in two variables over points near (5, 5): 7 of the 8
+    problems have cond(G) under the limit, and the normal equations alone
+    miss their SVD solve by up to 1.5e-12 of the coefficients' size."""
+    rng = np.random.default_rng(0)
+    z = 5.0 + rng.uniform(-1.0, 1.0, (8, 30, 2))
+    return MultivariatePoly(2, 2).expand(z), rng.normal(size=(8, 30)), rng.uniform(0.1, 2.0, (8, 30))
+
+
+def gram_route(features, targets, weights):
+    """The flattened design of a problem batch, its targets and weights, and
+    the Gram route's standardized coefficients and solved problems."""
+    n = np.shape(features)[-2]
+    y, w = (np.ascontiguousarray(a, dtype=np.float64) for a in (targets, weights))
+    design, _ = localfit._design(features, w)
+    y, w = y.reshape(-1, n), w.reshape(-1, n)
+    return (design, y, w, *localfit._gram_solve(design, y, w))
+
+
+class TestGramRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(wls_problems(), dense_wls_problems()))
+    @example(off_center_quadratics())
+    def test_gram_route_matches_the_svd_solve(self, problem):
+        # The normal equations alone lose up to about cond(G) eps = 2.2e-12
+        # of the coefficients' size at cond(G) = 1e4; the refinement step
+        # brings that down to the SVD's own error.
+        design, y, w, theta_s, solved = gram_route(*problem)
+        want, want_flag = svd_design_reference(design, y, w)
+        gap = np.abs(theta_s - want).max(axis=-1)
+        assert np.all(gap[solved] <= 1e-12 * (1.0 + np.abs(want).max(axis=-1)[solved]))
+        assert not want_flag[solved].any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(wls_problems(), dense_wls_problems()))
+    def test_problems_past_the_limit_take_the_svd_of_the_expanded_array_bitwise(self, problem):
+        features, targets, weights = problem
+        design, y, w, theta_s, solved = gram_route(*problem)
+        p = np.shape(features)[-1]
+        theta, flag = solve_wls(features, targets, weights)
+        theta, flag = theta.reshape(-1, p), flag.reshape(-1)
+        assert not flag[solved].any()
+        rest = ~solved
+        X = np.ascontiguousarray(features, dtype=np.float64).reshape(-1, y.shape[-1], p)[rest]
+        want, want_flag = expanded_svd_reference(X, y[rest], w[rest])
+        assert theta[rest].tobytes() == want.tobytes()
+        assert np.array_equal(flag[rest], want_flag)
+
+    def test_rank_deficient_problems_past_the_limit(self):
+        # Two of the three problems repeat two radii, so their Gram matrix
+        # is singular and the SVD reports their rank.
+        rng = np.random.default_rng(13)
+        radii = rng.uniform(0.0, 1.0, (3, 10))
+        radii[1:] = np.repeat([0.2, 0.7], 5)
+        targets, weights = rng.normal(size=(3, 10)), rng.uniform(0.5, 1.5, (3, 10))
+        expanded = RadialPoly(3).expand(radii)
+        want, want_flag = expanded_svd_reference(expanded[1:], targets[1:], weights[1:])
+        for features in (RadialFeatures(radii, RadialPoly(3)), expanded):
+            theta, flag = solve_wls(features, targets, weights)
+            assert np.array_equal(flag, [False, True, True]) and want_flag.all()
+            assert theta[1:].tobytes() == want.tobytes()
 
 
 def test_feature_maps_reject_bad_params():
