@@ -1,9 +1,10 @@
 """Domain types, distance metrics, and query-relative neighbor ordering.
 
-Distances are computed in double precision by brute force. Neighbor
-ordering is the order of a stable sort, so ties are broken by ascending
-original index and repeated calls are bit-identical; ``stable_argsort``
-computes it exactly from numpy's faster default sort.
+Distances are computed in double precision by brute force, Euclidean ones
+by :func:`euclidean_distances` alone. Neighbor ordering is the order of a
+stable sort, so ties are broken by ascending original index and repeated
+calls are bit-identical; ``stable_argsort`` computes it exactly from
+numpy's faster default sort.
 
 :func:`read_csv` and :func:`write_csv` hold the CSV format of every table.
 """
@@ -134,7 +135,21 @@ def euclidean(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatch(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.linalg.norm(a - b))
+    return float(euclidean_distances(a[None, :], b[None, :])[0, 0])
+
+
+def euclidean_distances(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The (m, n) Euclidean distances between the rows of ``Q`` (m, d) and
+    ``X`` (n, d): the squared differences summed over coordinates in order,
+    then one square root. That is scipy's ``cdist`` bit for bit, and
+    ``np.linalg.norm(X - q, axis=1)`` bit for bit for d <= 7 (past that,
+    numpy's pairwise sum rounds differently)."""
+    sq = np.zeros((Q.shape[0], X.shape[0]))
+    for j in range(X.shape[1]):
+        diff = np.subtract.outer(Q[:, j], X[:, j])
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq, out=sq)
 
 
 def _series_pair(a, b, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +254,7 @@ def profile(data: Dataset, metric: Metric, query) -> NeighborProfile:
     if metric is euclidean and data.dim is not None:
         if data.dim != q.shape[0]:
             raise DimensionMismatch(f"query has length {q.shape[0]}, data has dimension {data.dim}")
-        dists = np.linalg.norm(data.covariates - q[None, :], axis=1)
+        dists = euclidean_distances(q[None, :], data.covariates)[0]
     elif metric is dtw or metric is idtw:
         rows = list(data.covariates)
         if metric is idtw:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
 
 from . import localfit
 from .core import Dataset, NeighborProfile, as_covariate
@@ -206,7 +205,7 @@ def _local_fit(
         targets, w = batch.labels[rows, :width], weights[rows, :width]
         if logistic:
             theta, converged[rows], _ = localfit.fit_logistic(design, targets, w)
-            values[rows] = expit(theta[:, 0])
+            values[rows] = localfit.sigmoid(theta[:, 0])
         else:
             theta, _ = localfit.solve_wls(design, targets, w)
             values[rows] = theta[:, 0]
@@ -250,6 +249,15 @@ def _local_poly(batch: ProfileBatch, h: float, q: int, logistic: bool) -> BatchE
 _MSKNN_LOSSES = {"poly": ("squared",), "logi": ("logistic", "logit_squared")}
 
 
+def _logit(p):
+    """log(p / (1 - p)) for p in (0, 1), by scipy's two-branch formula:
+    log1p(s) - log1p(-s) = 2 atanh(s) with s = 2 (p - 1/2) for p in
+    [0.3, 0.65], where the quotient would lose precision near 1/2, and the
+    quotient elsewhere. One atanh costs less than two log1p."""
+    s = 2.0 * (p - 0.5)
+    return np.where((p >= 0.3) & (p <= 0.65), 2.0 * np.arctanh(s), np.log(p / (1.0 - p)))
+
+
 def _msknn(batch: ProfileBatch, k_vec, q: int, regression: str, loss: str) -> BatchEstimate:
     """``k_vec`` is one ladder (J,) or one per row (m, J); each distinct
     ladder is checked once, and a bad per-row one is named."""
@@ -271,8 +279,11 @@ def _msknn(batch: ProfileBatch, k_vec, q: int, regression: str, loss: str) -> Ba
         raise ParameterError(f"unsupported combination {(regression, loss)!r}")
 
     counts = np.cumsum(batch.labels[:, :ks[:, -1].max()], axis=1)
-    eta_hat = np.take_along_axis(counts, ks - 1, axis=1) / ks
-    features = RadialPoly(q).expand(np.take_along_axis(batch.radii, ks - 1, axis=1))
+    # Each row's ladder entries: an index pair rather than take_along_axis,
+    # whose setup costs more than the gather on these small batches.
+    at = (np.arange(m)[:, None], ks - 1)
+    eta_hat = counts[at] / ks
+    features = RadialPoly(q).expand(batch.radii[at])
     weights = np.ones_like(eta_hat)
     converged = True
     if loss == "logistic":
@@ -280,9 +291,9 @@ def _msknn(batch: ProfileBatch, k_vec, q: int, regression: str, loss: str) -> Ba
     else:
         if loss == "logit_squared":
             lo = 1.0 / (2.0 * ks)
-            eta_hat = logit(np.clip(eta_hat, lo, 1.0 - lo))
+            eta_hat = _logit(np.clip(eta_hat, lo, 1.0 - lo))
         theta, _ = localfit.solve_wls(features, eta_hat, weights)
-    values = theta[:, 0] if regression == "poly" else expit(theta[:, 0])
+    values = theta[:, 0] if regression == "poly" else localfit.sigmoid(theta[:, 0])
     return BatchEstimate(values, ks[:, -1], converged)
 
 

@@ -30,7 +30,9 @@ scores a candidate from its linear predictor f = X theta in one pass over
 the rows, where one exp(-|f|) yields both the softplus of the likelihood
 and the sigmoid of the next gradient; the accepted candidate's f and
 probabilities carry into the next iteration, so the loop never recomputes
-X theta.
+X theta. At the start, theta = 0, both are read off in closed form.
+``sigmoid`` is the program's only sigmoid: the estimators read their
+intercepts out through it too.
 """
 
 from __future__ import annotations
@@ -517,27 +519,41 @@ def solve_wls(features, targets, weights):
 # ---------------------------------------------------------------------------
 
 
+def sigmoid(f, e=None):
+    """1 / (1 + e^-f), elementwise, from one exp: the program's only sigmoid.
+
+    With e = e^-|f|, it is 1 / (1 + e) where f >= 0 and e / (1 + e)
+    elsewhere, which is scipy's ``expit`` to within four ulps; both reach
+    1/2 at the same f, except for -3.3e-16 < f < -4.5e-17, where expit
+    rounds up to 1/2 and this stays a few ulps below. It does not overflow:
+    below f = -709.78, where expit's own exp(-f) overflows and it returns 0,
+    this keeps the subnormal e^f. ``e``, when given, must be e^-|f|; it is
+    overwritten.
+    """
+    if e is None:
+        e = np.exp(-np.abs(f))
+    # e <= 1, so this is 1 where f >= 0 and e elsewhere, without the
+    # branches of a masked copy.
+    s = np.maximum(e, f >= 0)
+    e += 1.0
+    s /= e
+    return s
+
+
 def _softplus_sigmoid(f):
-    """log(1 + e^f) and 1 / (1 + e^-f), elementwise, from one exp.
+    """log(1 + e^f) and ``sigmoid(f)``, elementwise, from one exp.
 
     With e = e^-|f|, the softplus is max(f, 0) + log1p(e), which is
     ``np.logaddexp(0, f)`` to within two ulps at under half its cost
-    (np.exp is vectorized, logaddexp is not), and the sigmoid is 1 / (1 + e)
-    where f >= 0 and e / (1 + e) elsewhere, which is scipy's ``expit`` to
-    within a few ulps at a fifth of its cost. Neither overflows, and e is
-    not held past the sigmoid.
+    (np.exp is vectorized, logaddexp is not), and the same e gives
+    ``sigmoid``, the program's only sigmoid. Neither overflows.
     """
     e = np.abs(f)
     np.negative(e, out=e)
     np.exp(e, out=e)
     softplus = np.log1p(e)
     softplus += np.maximum(f, 0.0)
-    # e <= 1, so this is 1 where f >= 0 and e elsewhere, without the
-    # branches of a masked copy.
-    sigmoid = np.maximum(e, f >= 0)
-    e += 1.0
-    sigmoid /= e
-    return softplus, sigmoid
+    return softplus, sigmoid(f, e)
 
 
 def _evaluate(f, y, w, theta, ridge, pen):
@@ -556,6 +572,13 @@ def _evaluate(f, y, w, theta, ridge, pen):
     ll -= softplus
     ll *= w
     return ll.sum(axis=-1) - 0.5 * ridge * ((theta**2) * pen).sum(axis=-1), prob
+
+
+def _evaluate_at_zero(y, w, theta, ridge, pen):
+    """``_evaluate`` at f = 0, bit for bit, in closed form: there the
+    softplus is log1p(1) and the probability 1/2, so it takes no exp."""
+    obj = (w * -np.log1p(1.0)).sum(-1) - 0.5 * ridge * ((theta**2) * pen).sum(-1)
+    return obj, np.full(y.shape, 0.5)
 
 
 def _newton(design, y, w, ridge, pen, max_iter, tol):
@@ -586,7 +609,7 @@ def _newton(design, y, w, ridge, pen, max_iter, tol):
     theta = np.zeros((B, p))
     active = np.ones(B, dtype=bool)
     f = np.zeros((B, n))
-    obj, pr = _evaluate(f, y, w, theta, ridge, pen)
+    obj, pr = _evaluate_at_zero(y, w, theta, ridge, pen)
 
     for it in range(1, max_iter + 1):
         resid = y - pr

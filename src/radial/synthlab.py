@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import expit
 
 from . import estimators, localfit
 from ._parallel import indexed_map
-from .core import stable_argsort, write_csv
+from .core import euclidean_distances, stable_argsort, write_csv
 from .errors import DimensionMismatch, EmptyWindowError, ParameterError
 
 # Not called here (the kernels call localfit's solvers); the benchmark's
@@ -151,7 +149,7 @@ def _global_logistic(arrays: TrialArrays, rng: np.random.Generator) -> np.ndarra
         arrays.train_y.astype(np.float64),
         np.ones(arrays.train_x.shape[0]),
     )
-    return expit(_additive_quadratic(arrays.test_x) @ theta)
+    return localfit.sigmoid(_additive_quadratic(arrays.test_x) @ theta)
 
 
 # The two baselines that are not local estimators; every other kind is a
@@ -176,7 +174,7 @@ def trial_estimates(
 
     batch = None
     if any(m.kind not in _BASELINES for m in methods):
-        D = cdist(arrays.test_x, arrays.train_x)
+        D = euclidean_distances(arrays.test_x, arrays.train_x)
         order = stable_argsort(D)
         batch = estimators.ProfileBatch(
             np.take_along_axis(D, order, axis=1),

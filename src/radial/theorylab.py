@@ -21,7 +21,7 @@ import numpy as np
 # indexed_map stays importable here: bench/radbench/layers.py traces the
 # radial.theorylab.indexed_map binding.
 from ._parallel import indexed_map  # noqa: F401
-from .core import strict_floor, write_csv
+from .core import euclidean_distances, strict_floor, write_csv
 from .errors import ConfigurationError, DimensionMismatch, ParameterError
 from .estimators import ProfileBatch, UniformInBall, _lrr
 # solve_wls stays importable here: bench/radbench/layers.py traces the
@@ -270,7 +270,7 @@ def rate_experiment(
             rng = np.random.default_rng(next(seeds))
             x = rng.uniform(-1.0, 1.0, size=(n, d))
             y = (rng.random(n) < eta_fn(x, center)).astype(np.float64)
-            radii = np.linalg.norm(x, axis=1)
+            radii = euclidean_distances(center[None, :], x)[0]
             inside = radii <= config.r_tilde
             state = design_state(radii[inside], config)
             errors[i, rep] = (eta_at_query - lrr_closed_form(state, y[inside])) ** 2

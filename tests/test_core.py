@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,74 @@ class TestEuclidean:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             core.euclidean([1, 2], [1, 2, 3])
+
+    def test_empty_covariates_are_at_distance_zero(self):
+        assert core.euclidean([], []) == 0.0
+
+
+# Coordinates of either sign with magnitudes over 1e-5..1e5, and zeros.
+coords = st.builds(lambda sign, v: sign * v, st.sampled_from([-1.0, 1.0]),
+                   st.floats(1e-5, 1e5) | st.just(0.0))
+
+
+@st.composite
+def point_sets(draw, dims=st.integers(1, 12), elements=coords):
+    """Queries Q (m, d) and rows X (n, d); X ends with a copy of Q's first
+    row (a tie at distance 0 among ties) and a zero row."""
+    d = draw(dims)
+    Q = draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), d), elements=elements))
+    X = draw(hnp.arrays(np.float64, (draw(st.integers(1, 12)), d), elements=elements))
+    return Q, np.vstack([X, Q[:1], Q[:1], np.zeros((1, d))])
+
+
+def norm_route(Q, X):
+    """Euclidean distances as ``np.linalg.norm`` of each offset row."""
+    return np.stack([np.linalg.norm(X - q, axis=1) for q in Q])
+
+
+class TestEuclideanDistances:
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_equals_cdist_bitwise(self, sets):
+        from scipy.spatial.distance import cdist
+
+        Q, X = sets
+        assert np.array_equal(core.euclidean_distances(Q, X), cdist(Q, X))
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets(dims=st.integers(1, 7)))
+    def test_equals_the_norm_of_offsets_bitwise_up_to_seven_dimensions(self, sets):
+        Q, X = sets
+        assert np.array_equal(core.euclidean_distances(Q, X), norm_route(Q, X))
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_sets(dims=st.integers(8, 12)))
+    def test_within_d_ulps_of_the_norm_of_offsets_past_seven(self, sets):
+        # numpy's pairwise sum adds eight or more squares in another order.
+        Q, X = sets
+        got, want = core.euclidean_distances(Q, X), norm_route(Q, X)
+        assert np.all(np.abs(got - want) <= Q.shape[1] * np.spacing(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets(dims=st.integers(1, 7), elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_overflow_gives_the_same_inf_and_no_new_warning(self, sets):
+        Q, X = sets
+        with warnings.catch_warnings(record=True) as ours:
+            warnings.simplefilter("always")
+            got = core.euclidean_distances(Q, X)
+        with warnings.catch_warnings(record=True) as theirs:
+            warnings.simplefilter("always")
+            want = norm_route(Q, X)
+        assert np.array_equal(got, want)
+        assert {str(w.message) for w in ours} <= {str(w.message) for w in theirs}
+
+    def test_profile_radii_are_the_kernel_row_sorted(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(500, 3))
+        q = rng.normal(size=3)
+        prof = core.profile(core.Dataset.from_arrays(X, rng.integers(0, 2, 500)), core.euclidean, q)
+        assert np.array_equal(prof.radii, np.sort(np.linalg.norm(X - q, axis=1)))
+        assert np.array_equal(prof.radii, [core.euclidean(q, X[i]) for i in prof.source_indices])
 
 
 class TestDtw:
@@ -255,25 +324,41 @@ def test_get_metric():
         core.get_metric("cosine")
 
 
-def test_dtw_fallback_without_numba():
-    # radial needs no numba: with it blocked, the package imports and the
-    # distances keep their values.
+def run_fresh(script: str):
+    """Run ``script`` in a fresh interpreter that imports radial from the
+    same src directory as this test."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    script = (
+    src = str(Path(core.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+
+
+def test_dtw_fallback_without_numba():
+    # radial needs no numba: with it blocked, the package imports and the
+    # distances keep their values.
+    proc = run_fresh(
         "import sys; sys.modules['numba'] = None\n"
         "from radial import core\n"
         "assert core.dtw([1, 3], [1, 2, 3]) == 1.0\n"
         "assert core.idtw([2, 4], [1, 2]) == 0.0\n"
     )
-    # The child imports radial from the same src directory as this test.
-    src = str(Path(core.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_imports_scipy():
+    # The program needs only numpy; scipy is a test oracle, and importing
+    # it would triple the start-up time of every command.
+    proc = run_fresh(
+        "import sys\n"
+        "import radial, radial.cli, radial.backtest, radial.synthlab, radial.theorylab\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def scalar_warp_sqcost(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -215,6 +216,41 @@ class TestMsknn:
         prof = make_profile([1, 2, 3, 4], [1, 0, 1, 0])
         with pytest.raises(ParameterError):
             msknn(prof, [1, 2, 3], 1, "poly", "logistic")
+
+
+class TestLogit:
+    """The logit of ``loss="logit_squared"`` against scipy's."""
+
+    @staticmethod
+    def ulps(got, want):
+        return np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+
+    def test_clipped_knn_fractions_within_four_ulps_of_scipy(self):
+        from scipy.special import logit
+
+        for k in range(1, 201):
+            lo = 1.0 / (2.0 * k)
+            p = np.clip(np.arange(k + 1) / k, lo, 1.0 - lo)
+            got = estimators._logit(p)
+            assert self.ulps(got, logit(p)).max() <= 4
+            assert np.array_equal(got[p == 0.5], np.zeros(np.count_nonzero(p == 0.5)))
+
+    def test_uniform_draws_within_four_ulps_of_scipy(self):
+        from scipy.special import logit
+
+        rng = np.random.default_rng(9)
+        p = np.concatenate((rng.uniform(size=200_000), 0.5 + rng.normal(0.0, 1e-6, 20_000),
+                            [0.3, 0.65, np.nextafter(0.3, 0.0), np.nextafter(0.65, 1.0)]))
+        assert self.ulps(estimators._logit(p), logit(p)).max() <= 4
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_all_equal_labels_raise_no_warning(self, label):
+        # Every k-NN fraction is 0 or 1 and is clipped to 1/(2k) or 1 - 1/(2k).
+        prof = make_profile(np.linspace(0.1, 2.0, 40), np.full(40, label))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = msknn(prof, [5, 10, 20, 40], 2, "logi", "logit_squared").value
+        assert classify(value) == label
 
 
 class TestLrr:

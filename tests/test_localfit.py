@@ -11,7 +11,9 @@ from scipy.special import expit
 from radial import localfit
 from radial.errors import ParameterError
 from radial.localfit import (
+    RIDGE,
     SEPARATION_NORM,
+    SEPARATION_RIDGE,
     MultivariatePoly,
     RadialEvenPoly,
     RadialFeatures,
@@ -262,6 +264,52 @@ class TestSoftplusSigmoid:
         assert np.array_equal(sigmoid, [0, 0, 0, 0, 1, 1, 1, 1])
         assert np.array_equal(softplus, np.maximum(f, 0.0))
         assert localfit._softplus_sigmoid(np.zeros(1))[1][0] == 0.5
+
+
+class TestSigmoid:
+    """The program's one sigmoid, which reads out every logistic intercept."""
+
+    F = TestSoftplusSigmoid.F
+
+    def test_is_the_newton_loops_sigmoid_bitwise(self):
+        # So TestSoftplusSigmoid's bounds against expit hold for it too.
+        assert np.array_equal(localfit.sigmoid(self.F), localfit._softplus_sigmoid(self.F)[1])
+        assert np.array_equal(localfit.sigmoid(np.array([0.0, -0.0])), [0.5, 0.5])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(-745.0, 745.0) | st.floats(-1e-15, 1e-15))
+    def test_classes_at_one_half_agree_with_expit(self, f):
+        # For -4e-16 < f < 0 both are within 4 ulps of 1/2 but round to
+        # different sides: expit's 1 + e^-f rounds to 2 up to f = -3.3e-16,
+        # giving exactly 1/2, while e^f < 1 from f = -4.5e-17 on, so e / (1 + e)
+        # is below 1/2.
+        got, want = localfit.sigmoid(np.array([f])), expit(np.array([f]))
+        if -4e-16 < f < 0:
+            assert ulps(got, want).max() <= 4
+        else:
+            assert (got >= 0.5) == (want >= 0.5)
+
+    def test_no_warning_at_the_ends(self):
+        f = np.array([-1e308, -709.8, 709.8, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = localfit.sigmoid(f)
+        assert np.array_equal(got, [0.0, np.exp(-709.8), 1.0, 1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_newton_starts_from_evaluate_at_zero_bitwise(self, B, n, p, seed):
+        # _newton reads its first objective and probabilities off in closed
+        # form instead of evaluating f = 0; they must be _evaluate's bits.
+        rng = np.random.default_rng(seed)
+        y = rng.choice([0.0, 1.0, rng.uniform()], size=(B, n))
+        w = rng.exponential(size=(B, n)) * (rng.uniform(size=(B, n)) < 0.8)
+        theta, pen = np.zeros((B, p)), rng.uniform(size=(B, p))
+        for ridge in (RIDGE, SEPARATION_RIDGE):
+            got = localfit._evaluate_at_zero(y, w, theta, ridge, pen)
+            want = localfit._evaluate(np.zeros_like(y), y, w, theta, ridge, pen)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 def einsum_penalized_loglik(X, y, w, theta, ridge, pen):
