@@ -297,7 +297,7 @@ class _WalkDistances:
         block = self.dist[queries.start:queries.stop, s:pool.stop]
         order = stable_argsort(block)
         return estimators.ProfileBatch(
-            radii=np.take_along_axis(block, order, axis=1),
+            radii=block[np.arange(len(order))[:, None], order],
             labels=self.labels[s:pool.stop][order],
             index=order + s,
         )

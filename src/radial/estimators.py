@@ -89,7 +89,7 @@ class BatchEstimate:
 
     def __getitem__(self, i: int) -> Estimate:
         used, converged, fallback = (
-            np.broadcast_to(a, self.values.shape)[i]
+            a[i] if getattr(a, "ndim", 0) else a
             for a in (self.used_points, self.converged, self.fallback_applied)
         )
         return Estimate(float(self.values[i]), Diagnostics(int(used), bool(converged), bool(fallback)))
@@ -200,7 +200,10 @@ def _local_fit(
         group = q_eff == qq
         # A slice, when every row shares the degree, selects without copying.
         rows = slice(None) if group.all() else np.flatnonzero(group)
-        width = int(np.flatnonzero(window[rows].any(axis=0))[-1]) + 1
+        # Windows that reach the last column (every radial weight but the
+        # boxcar's) need no search for the width.
+        in_any = window[rows].any(axis=0)
+        width = len(in_any) if in_any[-1] else int(np.flatnonzero(in_any)[-1]) + 1
         design = features(rows, width, basis(int(qq)))
         targets, w = batch.labels[rows, :width], weights[rows, :width]
         if logistic:
@@ -230,7 +233,7 @@ def _knn(batch: ProfileBatch, k) -> BatchEstimate:
     if bad.size:
         raise ParameterError(f"k must be in [1, {n}], got {bad.flat[0]}")
     counts = np.cumsum(batch.labels[:, :ks.max()], axis=1)
-    return BatchEstimate(np.take_along_axis(counts, ks.reshape(-1, 1) - 1, axis=1)[:, 0] / ks, ks)
+    return BatchEstimate(counts[np.arange(len(counts)), ks - 1] / ks, ks)
 
 
 def _local_poly(batch: ProfileBatch, h: float, q: int, logistic: bool) -> BatchEstimate:

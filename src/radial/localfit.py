@@ -593,14 +593,24 @@ def _newton(design, y, w, ridge, pen, max_iter, tol):
     Each candidate is scored from ``f + alpha * X step`` with ``f = X theta``
     in one pass over the rows, which reads the softplus of the objective
     and the probabilities of the next gradient from one exp
-    (``_softplus_sigmoid``). The accepted candidate's ``f`` and
+    (``_softplus_sigmoid``); the first, at alpha = 1, as ``f + X step``,
+    which is the same sum. The accepted candidate's ``f`` and
     probabilities carry into the next iteration, so the loop contracts the
-    design only for the gradient, the Hessian and the step. Problems leave
-    the working set once converged, stalled or broken problems make up half
-    of it; every per-problem result is the same as without that.
+    design only for the gradient, the Hessian and the step. The ridge's
+    diagonal of the Hessian is built once per call.
+
+    The bookkeeping is cut to the common iteration, in which no problem
+    stops and every problem accepts its full step: problems that converge
+    or turn non-finite are found with one mask, whose scatters are skipped
+    when it is empty, and the mask of problems still searching for a step
+    is copied only once one of them rejects it. Problems leave the working
+    set once converged, stalled or broken problems make up half of it;
+    every per-problem result is the same as without that.
     """
     B, n = y.shape
     p = pen.shape[-1]
+    eye = np.eye(p)
+    ridge_diag = ridge * pen[:, :, None] * eye
     theta_out = np.zeros((B, p))
     converged = np.zeros(B, dtype=bool)
     iterations = np.full(B, max_iter, dtype=np.int64)
@@ -617,13 +627,15 @@ def _newton(design, y, w, ridge, pen, max_iter, tol):
         grad = design.tdot(resid) - ridge * theta * pen
         gmax = np.abs(grad).max(axis=-1)
 
+        # A problem stops once its gradient is below tol (converged) or
+        # not finite (broken).
         finite = np.isfinite(gmax)
-        done = active & finite & (gmax < tol)
-        converged[rows[done]] = True
-        iterations[rows[done]] = it - 1
-        broken = active & ~finite
-        iterations[rows[broken]] = it - 1
-        active &= ~(done | broken)
+        stop = active & ~(finite & (gmax >= tol))
+        if stop.any():
+            converged[rows[stop]] = finite[stop]
+            iterations[rows[stop]] = it - 1
+            active &= ~stop
+        # Stalls in the line search below shrink the working set too.
         if not active.any():
             break
         if 2 * np.count_nonzero(active) <= active.size:
@@ -631,45 +643,47 @@ def _newton(design, y, w, ridge, pen, max_iter, tol):
             # the copy of the design made here is at most half of it.
             theta_out[rows[~active]] = theta[~active]
             keep = np.flatnonzero(active)
-            rows, y, w, pen, theta, f, obj, pr, grad, active = (
-                a[keep] for a in (rows, y, w, pen, theta, f, obj, pr, grad, active)
+            rows, y, w, pen, ridge_diag, theta, f, obj, pr, grad, active = (
+                a[keep] for a in (rows, y, w, pen, ridge_diag, theta, f, obj, pr, grad, active)
             )
             design = design.take(keep)
 
         curv = w * pr
         curv *= 1.0 - pr
         H = design.gram(curv)
-        H += ridge * pen[:, :, None] * np.eye(p)
+        H += ridge_diag
         # Tiny jitter keeps the batched solve defined when a problem is
         # fully saturated; a useless step is rejected by the line search.
         diag_scale = np.einsum("bpp->b", H) / p
-        H += (1e-12 * np.maximum(diag_scale, 1.0) + 1e-300)[:, None, None] * np.eye(p)
+        H += (1e-12 * np.maximum(diag_scale, 1.0) + 1e-300)[:, None, None] * eye
         try:
             step = np.linalg.solve(H, grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = (np.linalg.pinv(H) @ grad[..., None])[..., 0]
         fstep = design.dot(step)
 
-        pending = active.copy()
+        # While the whole working set is pending (the first halving of
+        # nearly every iteration) candidates are scored on the full arrays,
+        # which a boolean gather would copy, and when all are accepted they
+        # replace the old arrays without a scatter.
+        pending = active
+        whole = active.all()
         alpha = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            if not pending.any():
-                break
-            # While the whole working set is pending (the first halving of
-            # nearly every iteration) candidates are scored on the full
-            # arrays, which a boolean gather would copy, and when all are
-            # accepted they replace the old arrays without a scatter.
-            whole = pending.all()
             sel = slice(None) if whole else pending
-            cand = theta[sel] + alpha * step[sel]
-            cand_f = f[sel] + alpha * fstep[sel]
+            if alpha == 1.0:
+                cand, cand_f = theta[sel] + step[sel], f[sel] + fstep[sel]
+            else:
+                cand, cand_f = theta[sel] + alpha * step[sel], f[sel] + alpha * fstep[sel]
             cand_obj, cand_pr = _evaluate(cand_f, y[sel], w[sel], cand, ridge, pen[sel])
-            accept = cand_obj > obj[sel] - 1e-12 * (1.0 + np.abs(obj[sel]))
+            old = obj[sel]
+            accept = cand_obj > old - 1e-12 * (1.0 + np.abs(old))
             accept &= np.isfinite(cand_obj)
             if whole and accept.all():
                 theta, f, obj, pr = cand, cand_f, cand_obj, cand_pr
-                pending[:] = False
                 break
+            if pending is active:
+                pending = active.copy()
             if accept.any():
                 moved = np.flatnonzero(pending)[accept]
                 theta[moved] = cand[accept]
@@ -677,10 +691,14 @@ def _newton(design, y, w, ridge, pen, max_iter, tol):
                 obj[moved] = cand_obj[accept]
                 pr[moved] = cand_pr[accept]
                 pending[moved] = False
+                if not pending.any():
+                    break
+                whole = False
             alpha *= 0.5
-        # A problem whose step never improved the objective has stalled.
-        iterations[rows[pending]] = it
-        active &= ~pending
+        else:
+            # A problem whose step never improved the objective has stalled.
+            iterations[rows[pending]] = it
+            active &= ~pending
 
     theta_out[rows] = theta
     return theta_out, converged, iterations

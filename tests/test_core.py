@@ -204,6 +204,33 @@ class TestProfile:
         assert np.array_equal(a.source_indices, b.source_indices)
         assert np.array_equal(a.radii, b.radii)
 
+    @pytest.mark.parametrize("kind", ["euclidean", "idtw", "per-row metric"])
+    def test_arrays_are_read_only_and_equal_a_validated_profile(self, kind):
+        # profile freezes the arrays it builds instead of passing them
+        # through NeighborProfile's copies and order check; they must be
+        # what that constructor gives, and share no memory with the dataset.
+        rng = np.random.default_rng(9)
+        if kind == "idtw":
+            rows = [rng.uniform(1.0, 2.0, int(m)) for m in rng.integers(3, 9, 30)]
+            data, metric, query = core.Dataset.from_sequences(rows, rng.integers(0, 2, 30)), core.idtw, rows[4]
+        else:
+            # Integer coordinates, so distances tie.
+            rows = rng.integers(-2, 3, size=(30, 2)).astype(np.float64)
+            metric = core.euclidean if kind == "euclidean" else (lambda a, b: float(np.abs(a - b).sum()))
+            data, query = core.Dataset.from_arrays(rows, rng.integers(0, 2, 30)), [0.0, 1.0]
+        prof = core.profile(data, metric, query)
+        dists = np.array([metric(query, row) for row in rows])
+        order = np.argsort(dists, kind="stable")
+        want = core.NeighborProfile(dists[order], data.labels[order], order)
+        for name in ("radii", "labels", "source_indices"):
+            got, ref = getattr(prof, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = got[1]
+            for held in (data.labels, *(data.covariates if kind == "idtw" else [data.covariates])):
+                assert not np.shares_memory(got, held)
+
 
 # Few distinct values, so most arrays are full of ties, with every value
 # that orders specially: NaN (of either sign), both zeros and both infinities.

@@ -25,6 +25,27 @@ from radial.estimators import (
 )
 
 
+class TestBatchEstimate:
+    @pytest.mark.parametrize("diagnostics", [
+        (),
+        (7, False, True),
+        (np.asarray(7), np.bool_(True), np.bool_(False)),
+        (np.array([3, 4, 5]), np.array([True, False, True]), np.array([False, True, False])),
+        (np.array([3, 4, 5]), True, np.array([True, False, False])),
+    ])
+    def test_row_is_the_broadcast_diagnostics(self, diagnostics):
+        values = np.array([0.25, 0.5, 1.0])
+        batch = estimators.BatchEstimate(values, *(diagnostics or (9,)))
+        fields = (batch.used_points, batch.converged, batch.fallback_applied)
+        for i in (0, 1, 2, -1):
+            used, converged, fallback = (np.broadcast_to(a, values.shape)[i] for a in fields)
+            want = estimators.Estimate(float(values[i]),
+                                       estimators.Diagnostics(int(used), bool(converged), bool(fallback)))
+            got = batch[i]
+            assert got == want
+            assert type(got.diagnostics.used_points) is int and type(got.diagnostics.converged) is bool
+
+
 def make_profile(radii, labels):
     radii = np.asarray(radii, dtype=float)
     order = np.argsort(radii, kind="stable")

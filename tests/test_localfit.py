@@ -488,6 +488,154 @@ class TestNewtonMatchesEinsumReference:
         assert_allclose(got[0], want[0], rtol=1e-10)
 
 
+def frozen_newton(design, y, w, ridge, pen, max_iter, tol, events):
+    """The damped Newton loop as it stood before its bookkeeping was
+    trimmed, kept to pin ``localfit._newton`` bit for bit. It adds to the
+    set ``events`` each of "broken", "compacted", "partial" (a line-search
+    pass that accepts some problems only) and "stalled" that a call meets."""
+    B, n = y.shape
+    p = pen.shape[-1]
+    theta_out = np.zeros((B, p))
+    converged = np.zeros(B, dtype=bool)
+    iterations = np.full(B, max_iter, dtype=np.int64)
+    rows = np.arange(B)
+    theta = np.zeros((B, p))
+    active = np.ones(B, dtype=bool)
+    f = np.zeros((B, n))
+    obj, pr = localfit._evaluate_at_zero(y, w, theta, ridge, pen)
+
+    for it in range(1, max_iter + 1):
+        resid = y - pr
+        resid *= w
+        grad = design.tdot(resid) - ridge * theta * pen
+        gmax = np.abs(grad).max(axis=-1)
+
+        finite = np.isfinite(gmax)
+        done = active & finite & (gmax < tol)
+        converged[rows[done]] = True
+        iterations[rows[done]] = it - 1
+        broken = active & ~finite
+        iterations[rows[broken]] = it - 1
+        if broken.any():
+            events.add("broken")
+        active &= ~(done | broken)
+        if not active.any():
+            break
+        if 2 * np.count_nonzero(active) <= active.size:
+            events.add("compacted")
+            theta_out[rows[~active]] = theta[~active]
+            keep = np.flatnonzero(active)
+            rows, y, w, pen, theta, f, obj, pr, grad, active = (
+                a[keep] for a in (rows, y, w, pen, theta, f, obj, pr, grad, active)
+            )
+            design = design.take(keep)
+
+        curv = w * pr
+        curv *= 1.0 - pr
+        H = design.gram(curv)
+        H += ridge * pen[:, :, None] * np.eye(p)
+        diag_scale = np.einsum("bpp->b", H) / p
+        H += (1e-12 * np.maximum(diag_scale, 1.0) + 1e-300)[:, None, None] * np.eye(p)
+        try:
+            step = np.linalg.solve(H, grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = (np.linalg.pinv(H) @ grad[..., None])[..., 0]
+        fstep = design.dot(step)
+
+        pending = active.copy()
+        alpha = 1.0
+        for _ in range(localfit._MAX_HALVINGS + 1):
+            if not pending.any():
+                break
+            whole = pending.all()
+            sel = slice(None) if whole else pending
+            cand = theta[sel] + alpha * step[sel]
+            cand_f = f[sel] + alpha * fstep[sel]
+            cand_obj, cand_pr = localfit._evaluate(cand_f, y[sel], w[sel], cand, ridge, pen[sel])
+            accept = cand_obj > obj[sel] - 1e-12 * (1.0 + np.abs(obj[sel]))
+            accept &= np.isfinite(cand_obj)
+            if whole and accept.all():
+                theta, f, obj, pr = cand, cand_f, cand_obj, cand_pr
+                pending[:] = False
+                break
+            if accept.any():
+                if not accept.all():
+                    events.add("partial")
+                moved = np.flatnonzero(pending)[accept]
+                theta[moved] = cand[accept]
+                f[moved] = cand_f[accept]
+                obj[moved] = cand_obj[accept]
+                pr[moved] = cand_pr[accept]
+                pending[moved] = False
+            alpha *= 0.5
+        if pending.any():
+            events.add("stalled")
+        iterations[rows[pending]] = it
+        active &= ~pending
+
+    theta_out[rows] = theta
+    return theta_out, converged, iterations
+
+
+def newton_batch(seed: int, radial: bool):
+    """A function that builds one flattened batch for ``_newton`` afresh,
+    ``(design, y, w, ridge, pen, max_iter, tol)``: a radial or dense design
+    with zero-weight padding, rows of binary, fractional, separated and
+    all-equal targets, rows whose targets hold a NaN (their gradient is not
+    finite), and rows whose design is scaled by 1e200 (their Hessian
+    overflows, so every step is rejected and the row stalls)."""
+    rng = np.random.default_rng(seed)
+    B, n = int(rng.integers(1, 9)), int(rng.integers(10, 41))
+    if radial:
+        basis = [RadialPoly(1), RadialPoly(2), RadialPoly(3), RadialEvenPoly(1), RadialEvenPoly(2)][rng.integers(5)]
+        z = rng.uniform(0.0, rng.choice([1e-3, 1.0, 50.0]), (B, n)) + rng.choice([0.0, 1e4])
+        features = RadialFeatures(z, basis)
+    else:
+        basis = MultivariatePoly(int(rng.integers(0, 3)), int(rng.integers(1, 4)))
+        points = rng.normal(size=(B, n, basis.dim))
+        z, features = points[..., 0], basis.expand(points)
+    p = basis.output_dim
+    w = rng.uniform(0.1, 2.0, (B, n))
+    w[:, n - int(rng.integers(0, n - p + 1)):] = 0.0
+    kinds = rng.integers(0, 6, B)
+    y = np.where((kinds == 0)[:, None], rng.integers(0, 2, (B, n)), rng.uniform(size=(B, n)))
+    y[kinds == 2] = (z < np.median(z, axis=-1, keepdims=True))[kinds == 2]
+    y[kinds == 3] = float(rng.integers(0, 2))
+    y[kinds == 4, 0] = np.nan
+    ridge = [RIDGE, SEPARATION_RIDGE][rng.integers(2)]
+    max_iter = [3, localfit.MAX_ITER][rng.integers(2)]
+
+    def build():
+        design, scaling = localfit._design(features, w)
+        blown = design.M if radial else design.X
+        blown[kinds == 5] *= 1e200
+        pen = (1.0 / scaling[0] ** 2).reshape(-1, p)
+        pen[:, 0] = 0.0
+        return design, y.copy(), w.copy(), ridge, pen, max_iter, localfit.TOL
+
+    return build
+
+
+class TestNewtonMatchesFrozenLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_theta_and_flags_bitwise(self, seed, radial):
+        build = newton_batch(seed, radial)
+        with np.errstate(all="ignore"):
+            got = localfit._newton(*build())
+            want = frozen_newton(*build(), set())
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("radial", [False, True])
+    def test_batches_reach_every_path(self, radial):
+        events = set()
+        with np.errstate(all="ignore"):
+            for seed in range(40):
+                frozen_newton(*newton_batch(seed, radial)(), events)
+        assert events == {"broken", "compacted", "partial", "stalled"}
+
+
 def fit_recording_refit(features, targets, weights):
     """fit_logistic, and the targets of the problems it refit with
     SEPARATION_RIDGE (None when it made no refit)."""
