@@ -150,20 +150,20 @@ METHODS = (*LOCAL_METHODS, *_BASELINES)
 
 def ingest_csv(path) -> PriceSeries:
     """Read (ISO-8601 date, close) rows through ``core.read_csv``; the
-    header row is optional.
+    first nonblank record may be a header.
 
     Rows are sorted by date (with a warning when the input was unsorted);
     duplicate dates and nonpositive closes are rejected.
     """
     rows: list[tuple[dt.date, float]] = []
-    for lineno, record in read_csv(path, "input"):
+    for i, (lineno, record) in enumerate(read_csv(path, "input")):
         if len(record) != 2:
             raise ParseError(f"expected 2 columns, got {len(record)}", line=lineno)
         date_text, close_text = (f.strip() for f in record)
         try:
             date = dt.date.fromisoformat(date_text)
         except ValueError:
-            if lineno == 1:  # header
+            if i == 0:  # header
                 continue
             raise ParseError(f"bad date {date_text!r}", line=lineno) from None
         try:

@@ -13,13 +13,13 @@ are two designs:
   contractions is a batched matmul on BLAS, the Hessian a weighted Gram
   matrix;
 - the radial design serves ``RadialFeatures``, whose columns are powers of
-  one radius r. It holds the centered, scaled radius u = (r - m) / s (and,
-  once the Newton loop needs them, its powers up to twice the basis's
-  largest exponent), and an exact binomial change of basis M from powers
-  of u to the standardized columns. Its
-  Hessian is M^T K M for the Hankel matrix K of the power sums sum c u^k
-  (the moment form of local polynomial fitting), and its gradient is
-  M^T (sum v u^k). The column scaling is read from the same power sums.
+  one radius r. It holds the powers of the centered, scaled radius
+  u = (r - m) / s up to twice the basis's largest exponent, and an exact
+  binomial change of basis M from powers of u to the standardized columns.
+  Its Hessian is M^T K M for the Hankel matrix K of the power sums
+  sum c u^k (the moment form of local polynomial fitting), and its
+  gradient is M^T (sum v u^k). Every power sum, the column scaling's
+  among them, is one product of those powers with c.
 
 Least squares solves each problem from its p x p Gram matrix G = X^T W X
 and X^T W y on either design, with one refinement step; only a problem whose
@@ -38,7 +38,7 @@ intercepts out through it too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -293,57 +293,26 @@ class _DenseDesign:
     def take(self, rows) -> _DenseDesign:
         return _DenseDesign(self.X[rows])
 
-    def normal_equations(self, y, w):
-        """X^T diag(w) X, (B, p, p), and X^T (w y), (B, p)."""
-        return self.gram(w), self.tdot(w * y)
-
-
-def _power_sums(u, c, count):
-    """The power sums sum_n c[..., n] u[..., n]^k for k < count,
-    (..., count), with one running power: the powers of u are never all
-    held at once."""
-    sums = np.empty(u.shape[:-1] + (count,))
-    sums[..., 0] = c.sum(axis=-1)
-    power = u
-    for k in range(1, count):
-        if k == 2:
-            power = u * u
-        elif k > 2:
-            power *= u
-        sums[..., k] = (c[..., None, :] @ power[..., None])[..., 0, 0]
-    return sums
-
 
 class _RadialDesign:
     """A flattened standardized design whose p columns are polynomials of
-    degree <= E in one radius, held as that radius.
+    degree <= E in one radius, held as the powers of that radius.
 
     With u = (r - m) / s the radius centered and scaled by its weighted mean
-    and standard deviation, ``u`` is (B, n) and ``M`` (B, E+1, p) is the
-    binomial change of basis with standardized design = U M, U the (n, E+1)
-    matrix of u^0 ... u^E. So X theta is U (M theta), X^T v is M^T (U^T v),
-    and X^T diag(c) X is M^T K M for the Hankel matrix K[i, j] =
-    sum c u^(i+j) of 2E+1 power sums. ``sums`` (B, 2E+1) holds the power
-    sums sum w u^k of the weights the design was built with.
+    and standard deviation, ``powers`` (B, 2E+1, n) holds u^0 ... u^2E and
+    ``M`` (B, E+1, p) is the binomial change of basis with standardized
+    design = U M, U the (n, E+1) matrix of u^0 ... u^E. So X theta is
+    U (M theta), X^T v is M^T (U^T v), and X^T diag(c) X is M^T K M for the
+    Hankel matrix K[i, j] = sum c u^(i+j) of the 2E+1 power sums
+    ``powers @ c``.
     """
 
-    def __init__(self, u: np.ndarray, M: np.ndarray, sums: np.ndarray):
-        self.u = u
+    def __init__(self, powers: np.ndarray, M: np.ndarray):
+        self.powers = powers
         self.M = M
         self.Mt = np.swapaxes(M, -1, -2)
-        self.sums = sums
         k = M.shape[-2]
         self.hankel = np.add.outer(np.arange(k), np.arange(k))
-
-    @cached_property
-    def powers(self):
-        """u^0 ... u^2E, (B, 2E+1, n), built when a contraction first needs
-        them; least squares needs only power sums."""
-        powers = np.empty(self.sums.shape + self.u.shape[-1:])
-        powers[:, 0] = 1.0
-        for k in range(1, powers.shape[1]):
-            np.multiply(powers[:, k - 1], self.u, out=powers[:, k])
-        return powers
 
     @property
     def low(self):
@@ -360,19 +329,14 @@ class _RadialDesign:
         return self.Mt @ sums[:, self.hankel] @ self.M
 
     def take(self, rows) -> _RadialDesign:
-        return _RadialDesign(self.u[rows], self.M[rows], self.sums[rows])
-
-    def normal_equations(self, y, w):
-        """``_DenseDesign.normal_equations`` from power sums, for the weights
-        ``w`` the design was built with: M^T K M and M^T (sum w y u^k)."""
-        b = _power_sums(self.u, w * y, self.M.shape[-2])
-        return self.Mt @ self.sums[:, self.hankel] @ self.M, (self.Mt @ b[..., None])[..., 0]
+        return _RadialDesign(self.powers[rows], self.M[rows])
 
 
 def _radial_design(features: RadialFeatures, weights: np.ndarray):
     """The ``_RadialDesign`` of ``features`` and its ``_column_scaling``.
 
-    The column moments come from the power sums sum w u^k, k <= 2E, so the
+    The column moments come from the power sums sum w u^k, k <= 2E, the
+    same product ``powers @ w`` that the design's ``gram`` takes, so the
     expanded array is never formed. With mu_k those sums over sum w, and A
     the binomial matrix of r^e_j = sum_k A[k, j] u^k, column j has mean
     sum_k A[k, j] mu_k and variance A[1:, j]^T C A[1:, j] for
@@ -385,13 +349,20 @@ def _radial_design(features: RadialFeatures, weights: np.ndarray):
     totals = weights.sum(axis=-1)
     safe_totals = np.where(totals > 0, totals, 1.0)
     # Centering matters: powers of a radius far from 0 are nearly collinear.
-    m = (weights[..., None, :] @ r[..., None])[..., 0, 0] / safe_totals
+    # These sums take numpy's pairwise loop over each whole row. A BLAS dot
+    # would split a long one across its threads, and einsum a batch row
+    # past its 8192-element buffer, each rounding differently.
+    m = (weights * r).sum(axis=-1) / safe_totals
     u = r - m[..., None]
-    s = np.sqrt((weights[..., None, :] @ (u * u)[..., None])[..., 0, 0] / safe_totals)
+    s = np.sqrt((weights * (u * u)).sum(axis=-1) / safe_totals)
     s = np.where(s > 0, s, 1.0)
     u /= s[..., None]
     E = int(exps.max())
-    sums = _power_sums(u, weights, 2 * E + 1)
+    powers = np.empty(batch_shape + (2 * E + 1, n))
+    powers[..., 0, :] = 1.0
+    for k in range(1, 2 * E + 1):
+        np.multiply(powers[..., k - 1, :], u, out=powers[..., k, :])
+    sums = (powers @ weights[..., None])[..., 0]
 
     # Powers by repeated products: numpy's power rounds a lone problem's
     # scalar differently from an array, and rows of a batch must not.
@@ -417,9 +388,7 @@ def _radial_design(features: RadialFeatures, weights: np.ndarray):
 
     A[..., 0, :] -= center
     A /= scale[..., None, :]
-    design = _RadialDesign(
-        u.reshape(-1, n), A.reshape(-1, E + 1, exps.size), sums.reshape(-1, 2 * E + 1)
-    )
+    design = _RadialDesign(powers.reshape(-1, 2 * E + 1, n), A.reshape(-1, E + 1, exps.size))
     return design, scaling
 
 
@@ -445,7 +414,7 @@ def _gram_solve(design, y, w):
     """The minimizer of sum w (y - X theta)^2 of each problem of a flattened
     design, (B, p), from the eigendecomposition of G = X^T diag(w) X and one
     refinement step, and which problems have cond(G) within the limit."""
-    G, b = design.normal_equations(y, w)
+    G, b = design.gram(w), design.tdot(w * y)
     lam, Q = np.linalg.eigh(G)
     solved = lam[:, 0] > lam[:, -1] / GRAM_CONDITION_LIMIT
     lam, Qt = np.where(solved[:, None], lam, 1.0), np.swapaxes(Q, -1, -2)
@@ -475,11 +444,12 @@ def solve_wls(features, targets, weights):
     """Minimize sum_i w_i (y_i - x_i . theta)^2 over leading batch dims.
 
     Each problem is solved from the Gram matrix G = X^T W X of its
-    standardized design and X^T W y (for ``RadialFeatures``, from power
-    sums of the radius), and refined once from its residual; one with
-    cond(G) past ``GRAM_CONDITION_LIMIT`` is solved by the SVD of its
-    expanded, weighted array, whose rank test sees singular values down to
-    the SVD's own cutoff.
+    standardized design and X^T W y (for ``RadialFeatures``, from the
+    design's powers of the radius, as the logistic solver's Hessian is),
+    and refined once from its residual; one with cond(G) past
+    ``GRAM_CONDITION_LIMIT`` is solved by the SVD of its expanded, weighted
+    array, whose rank test sees singular values down to the SVD's own
+    cutoff.
 
     Parameters
     ----------

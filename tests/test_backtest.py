@@ -109,6 +109,19 @@ class TestIngest:
         path.write_bytes(b"\xef\xbb\xbf2020-01-01,1\n2020-01-02,2\n")
         assert len(bt.ingest_csv(path)) == 2
 
+    @pytest.mark.parametrize("prefix", [b"\n", b"\xef\xbb\xbf\n"], ids=["blank-line", "bom-blank-line"])
+    def test_header_after_blank_line_skipped(self, tmp_path, prefix):
+        # The first nonblank record is the optional header, wherever it is.
+        with open(bt.bundled_fixture_path(), "rb") as fh:
+            lines = fh.readlines()
+        plain, led = tmp_path / "plain.csv", tmp_path / "led.csv"
+        plain.write_bytes(b"".join(lines[:401]))
+        led.write_bytes(prefix + b"".join(lines[:401]))
+        want, got = bt.ingest_csv(plain), bt.ingest_csv(led)
+        assert len(want) == 400
+        assert got.dates == want.dates
+        assert got.closes.tobytes() == want.closes.tobytes()
+
     def test_non_utf8_bytes_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_bytes(b"2020-01-01,1\n2020-01-02,\xff2\n")

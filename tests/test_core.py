@@ -351,16 +351,16 @@ def test_get_metric():
         core.get_metric("cosine")
 
 
-def run_fresh(script: str):
+def run_fresh(script: str, **env: str):
     """Run ``script`` in a fresh interpreter that imports radial from the
-    same src directory as this test."""
+    same src directory as this test, with ``env`` added to its environment."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = str(Path(core.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
 
 

@@ -1,3 +1,4 @@
+import os
 import warnings
 from unittest import mock
 
@@ -23,6 +24,7 @@ from radial.estimators import (
     lrr,
     msknn,
 )
+from test_core import run_fresh
 
 
 class TestBatchEstimate:
@@ -341,6 +343,39 @@ class TestLrr:
             est = lrr(prof, UniformInBall(r_tilde), omega, "squared", even=True)
             oracle = theorylab.lrr_closed_form(state, prof.labels[prof.radii <= r_tilde])
             assert_allclose(est.value, oracle, atol=1e-8)
+
+
+# lrr and lrlr, both weights, on 20 queries against 12,000 to 19,600 points:
+# every value as its exact hex.
+BLAS_THREAD_SCRIPT = """
+import numpy as np
+from radial import core, estimators
+rng = np.random.default_rng(3)
+X = rng.uniform(-1.0, 1.0, (19600, 2))
+y = (rng.uniform(size=19600) < 0.5 + 0.4 * X[:, 0]).astype(int)
+out = []
+for i, query in enumerate(rng.uniform(-0.5, 0.5, (20, 2))):
+    data = core.Dataset.from_arrays(X[: 12000 + 400 * i], y[: 12000 + 400 * i])
+    prof = core.profile(data, core.euclidean, query)
+    for kind in ("lrr", "lrlr"):
+        method = estimators.METHODS[kind]
+        for weight in ("constant_one", "inverse_r"):
+            params = method.resolve({"weight": weight})
+            out.append(method.estimate(data, prof, query, **params).value.hex())
+print(" ".join(out))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one CPU")
+def test_radial_fits_do_not_depend_on_blas_thread_count():
+    # OpenBLAS splits a dot product longer than 10,000 across its threads,
+    # so a power sum taken as one would round differently with their number.
+    runs = [run_fresh(BLAS_THREAD_SCRIPT, OPENBLAS_NUM_THREADS=str(t)) for t in (1, 2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    one, two = (proc.stdout.split() for proc in runs)
+    assert len(one) == 80
+    assert one == two
 
 
 def test_points_beyond_every_window_change_no_estimate():

@@ -735,6 +735,21 @@ class TestRadialDesign:
             assert theta[idx].tobytes() == t1.tobytes()
             assert converged[idx] == c1 and iterations[idx] == i1
 
+    @pytest.mark.parametrize("basis", [RadialPoly(2), RadialEvenPoly(2)])
+    def test_long_batch_rows_match_single_problems_bitwise(self, basis):
+        # Past 8192 radii einsum splits a batch row's sum at its buffer
+        # size, and a lone problem's not; the radius moments must not.
+        rng = np.random.default_rng(11)
+        radii = np.sort(rng.uniform(0.0, 2.0, (3, 12_345)), axis=-1)
+        targets = (rng.uniform(size=radii.shape) < 0.5).astype(float)
+        weights = rng.uniform(0.0, 1.0, radii.shape)
+        features = RadialFeatures(radii, basis)
+        for solve in (solve_wls, fit_logistic):
+            batch = solve(features, targets, weights)
+            for b in range(3):
+                single = solve(RadialFeatures(radii[b], basis), targets[b], weights[b])
+                assert all(a[b].tobytes() == s.tobytes() for a, s in zip(batch, single))
+
     @pytest.mark.parametrize("basis", [RadialPoly(0), RadialPoly(3), RadialEvenPoly(2)])
     def test_features_read_as_the_expanded_array(self, basis):
         radii = np.random.default_rng(7).uniform(0.0, 2.0, (4, 9))
