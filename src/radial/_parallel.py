@@ -10,6 +10,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
+from .errors import ConfigurationError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -20,9 +22,9 @@ def worker_count() -> int:
         try:
             n = int(env)
         except ValueError:
-            raise ValueError(f"RADIAL_THREADS must be an integer, got {env!r}") from None
+            raise ConfigurationError(f"RADIAL_THREADS must be an integer, got {env!r}") from None
         if n < 1:
-            raise ValueError("RADIAL_THREADS must be >= 1")
+            raise ConfigurationError("RADIAL_THREADS must be >= 1")
         return n
     return os.cpu_count() or 1
 

@@ -305,9 +305,9 @@ class _WalkDistances:
 
 def _candidates(method: estimators.Method, fixed: dict, config: WalkForwardConfig):
     """(ledger value, resolved parameters) of each candidate in grid order,
-    and the parameters scoring them all in one call, row c * V + v being
-    validation month v under candidate c; a method that tunes nothing has
-    the single candidate value None and no grid."""
+    and the parameters that score them all in one kernel call, the tuned one
+    being the array of every candidate's value; a method that tunes nothing
+    has the single candidate value None and no grid."""
     names = {p.name for p in method.params}
     if "k" in names:
         name, grid = "k", [(k, k) for k in KNN_GRID]
@@ -316,8 +316,7 @@ def _candidates(method: estimators.Method, fixed: dict, config: WalkForwardConfi
     else:
         return [(None, method.resolve(fixed))], None
     candidates = [(value, method.resolve({**fixed, name: tuned})) for value, tuned in grid]
-    per_row = np.repeat([params[name] for _, params in candidates], config.validation_window, axis=0)
-    return candidates, {**candidates[0][1], name: per_row}
+    return candidates, {**candidates[0][1], name: np.array([params[name] for _, params in candidates])}
 
 
 def walk_forward_predict(
@@ -390,11 +389,9 @@ def walk_forward_predict(
             hook("tune", t)
             validation = range(t - config.validation_window, t)
             batch = walk.batch(validation, range(t - config.n_train, validation.start))
-            # A candidate reads no more than the `largest` nearest months.
-            rows = estimators.ProfileBatch(*(np.tile(a[:, :largest], (len(candidates), 1))
-                                             for a in (batch.radii, batch.labels)))
-            preds = estimators.classify(entry.batch(rows, **grid).values).reshape(len(candidates), -1)
-            hits = np.count_nonzero(preds == walk.labels[validation.start:t], axis=1)
+            # (V, C) classes: validation month v under candidate c.
+            preds = estimators.classify(entry.batch(batch, **grid).values)
+            hits = np.count_nonzero(preds == walk.labels[validation.start:t, None], axis=0)
             # argmax takes the first maximum: ties go to the smallest candidate.
             chosen, params = candidates[int(np.argmax(hits))]
         chosen_out.append(chosen)

@@ -79,8 +79,8 @@ class ProfileBatch:
 
 @dataclass(frozen=True)
 class BatchEstimate:
-    """Per-row values of a batched kernel; each diagnostic is a per-row
-    array or one value for every row."""
+    """A batched kernel's values, (m,) or (m, C) for a grid of C parameters;
+    each diagnostic is an array or one value that broadcasts against them."""
 
     values: np.ndarray
     used_points: np.ndarray | int
@@ -222,18 +222,21 @@ def _ks(batch: ProfileBatch, h: float) -> BatchEstimate:
     if np.any(used == 0):
         raise EmptyWindowError(f"no point within bandwidth {h}")
     # Rows are sorted, so the points within h are each row's first ones.
-    return _knn(batch, used)
+    counts = np.cumsum(batch.labels[:, :used.max()], axis=1)
+    return BatchEstimate(counts[np.arange(len(used)), used - 1] / used, used)
 
 
 def _knn(batch: ProfileBatch, k) -> BatchEstimate:
-    """``k`` is one int or one per row; with 0/1 labels a running sum is exact."""
+    """One k gives (m,) values, a grid of C gives (m, C); with 0/1 labels a running sum is exact."""
     n = batch.radii.shape[1]
     ks = np.asarray(k)
     bad = ks[(ks < 1) | (ks > n)]
     if bad.size:
         raise ParameterError(f"k must be in [1, {n}], got {bad.flat[0]}")
     counts = np.cumsum(batch.labels[:, :ks.max()], axis=1)
-    return BatchEstimate(counts[np.arange(len(counts)), ks - 1] / ks, ks)
+    # An index pair, since counts[:, ks - 1] comes out in Fortran order.
+    rows = np.arange(len(counts)).reshape(-1, *[1] * ks.ndim)
+    return BatchEstimate(counts[rows, ks - 1] / ks, ks)
 
 
 def _local_poly(batch: ProfileBatch, h: float, q: int, logistic: bool) -> BatchEstimate:
@@ -262,29 +265,27 @@ def _logit(p):
 
 
 def _msknn(batch: ProfileBatch, k_vec, q: int, regression: str, loss: str) -> BatchEstimate:
-    """``k_vec`` is one ladder (J,) or one per row (m, J); each distinct
-    ladder is checked once, and a bad per-row one is named."""
-    m, n = batch.radii.shape
-    per_row = np.ndim(k_vec) == 2
-    if per_row and len(k_vec) != m:
-        raise ParameterError(f"k_vec needs one ladder per batch row ({m}), got {len(k_vec)}")
-    ladders = dict.fromkeys(map(tuple, np.asarray(k_vec).tolist())) if per_row else [[int(k) for k in k_vec]]
+    """One ladder (J,) gives (m,) values, and a grid of C ladders, (C, J),
+    gives (m, C); a bad ladder of a grid is named."""
+    n = batch.radii.shape[1]
+    grid = np.ndim(k_vec) == 2
+    # Checked as Python ints, so a huge one is named rather than overflowing int64.
+    ladders = [[int(k) for k in ladder] for ladder in (k_vec if grid else [k_vec])]
     for ladder in ladders:
-        got = f", got {list(ladder)}" if per_row else ""
+        got = f", got {ladder}" if grid else ""
         if any(k2 <= k1 for k1, k2 in zip(ladder, ladder[1:])) or not ladder:
             raise ParameterError("k_vec must be strictly increasing and nonempty" + got)
         if ladder[0] < 1 or ladder[-1] > n:
             raise ParameterError(f"k_vec must lie within [1, {n}]" + got)
-    ks = np.array(k_vec if per_row else ladders[0], dtype=np.int64, ndmin=2)
-    if ks.shape[1] < q + 1:
-        raise ParameterError(f"need at least q+1 = {q + 1} scales, got {ks.shape[1]}")
+    ks = np.array(ladders if grid else ladders[0], dtype=np.int64)
+    if ks.shape[-1] < q + 1:
+        raise ParameterError(f"need at least q+1 = {q + 1} scales, got {ks.shape[-1]}")
     if loss not in _MSKNN_LOSSES.get(regression, ()):
         raise ParameterError(f"unsupported combination {(regression, loss)!r}")
 
-    counts = np.cumsum(batch.labels[:, :ks[:, -1].max()], axis=1)
-    # Each row's ladder entries: an index pair rather than take_along_axis,
-    # whose setup costs more than the gather on these small batches.
-    at = (np.arange(m)[:, None], ks - 1)
+    counts = np.cumsum(batch.labels[:, :ks.max()], axis=1)
+    # (m, J) or (m, C, J) rungs by an index pair as in _knn; one solver call fits them all.
+    at = (np.arange(len(counts)).reshape(-1, *[1] * ks.ndim), ks - 1)
     eta_hat = counts[at] / ks
     features = RadialPoly(q).expand(batch.radii[at])
     weights = np.ones_like(eta_hat)
@@ -296,8 +297,8 @@ def _msknn(batch: ProfileBatch, k_vec, q: int, regression: str, loss: str) -> Ba
             lo = 1.0 / (2.0 * ks)
             eta_hat = _logit(np.clip(eta_hat, lo, 1.0 - lo))
         theta, _ = localfit.solve_wls(features, eta_hat, weights)
-    values = theta[:, 0] if regression == "poly" else localfit.sigmoid(theta[:, 0])
-    return BatchEstimate(values, ks[:, -1], converged)
+    values = theta[..., 0] if regression == "poly" else localfit.sigmoid(theta[..., 0])
+    return BatchEstimate(values, ks[..., -1], converged)
 
 
 def _lrr(
@@ -329,7 +330,7 @@ def kernel_smoother(profile: NeighborProfile, h: float) -> Estimate:
 
 
 def knn(profile: NeighborProfile, k: int) -> Estimate:
-    """Mean label of the k nearest points; the batched kernel also takes one k per row."""
+    """Mean label of the k nearest points; the batched kernel also takes a grid of k."""
     return _knn(ProfileBatch.of(profile), k)[0]
 
 
@@ -351,8 +352,8 @@ def msknn(
     loss: str = "squared",
 ) -> Estimate:
     """Fit a radial polynomial to k-NN estimates at several scales and
-    extrapolate it to radius zero. The batched kernel also takes one ladder
-    per row.
+    extrapolate it to radius zero. The batched kernel also takes a grid of
+    ladders.
 
     ``regression="poly"`` pairs with the squared loss and returns the raw
     intercept. ``regression="logi"`` returns sigmoid of the intercept and

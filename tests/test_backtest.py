@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import os
 import tempfile
@@ -496,6 +497,31 @@ class TestGridTuning:
         start, end = labeled[40].block.month_id, labeled[42].block.month_id
         assert len(bt.walk_forward_predict(labeled, start, end, "msknn-logi", config).months) == 3
         assert len(calls) == 2 * 3
+
+    @pytest.mark.parametrize("method", ["msknn-logi", "knn"])
+    def test_each_tune_scores_the_whole_grid_on_the_untiled_validation_rows(self, monkeypatch, method):
+        kind, _ = bt.LOCAL_METHODS[method]
+        entry, name = estimators.METHODS[kind], "k" if kind == "knn" else "k_vec"
+        grid_size = len(bt.KNN_GRID) if kind == "knn" else len(SMALL.msknn_kmax_grid)
+        calls, phase = [], {}
+
+        def spy(batch, **params):
+            out = entry.batch(batch, **params)
+            calls.append((phase["stage"], batch.radii.shape, np.shape(params[name]), out.values.shape))
+            return out
+
+        # The backtest looks the kernel up in the registry on each walk.
+        monkeypatch.setitem(estimators.METHODS, kind, dataclasses.replace(entry, batch=spy))
+        labeled = bt.label_months(bt.segment_months(bt.ingest_csv(bt.bundled_fixture_path())))
+        first, last = 150, 153
+        T, V = SMALL.n_train, SMALL.validation_window
+        bt.walk_forward_predict(labeled, labeled[first].block.month_id, labeled[last].block.month_id,
+                                method, SMALL, phase_hook=lambda stage, t: phase.update(stage=stage))
+        # One call a month on the V validation rows and every candidate,
+        # then one on the test month with the chosen one.
+        ladder = () if kind == "knn" else (5,)
+        tune = ("tune", (V, T - V), (grid_size, *ladder), (V, grid_size))
+        assert calls == [tune, ("predict", (1, T), ladder, (1,))] * (last + 1 - first)
 
     @pytest.mark.parametrize("method", ["msknn-logi", "lrlr-w1"])
     def test_one_kernel_call_per_row_and_none_to_tune_after_the_first_month(self, monkeypatch, method):

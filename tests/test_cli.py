@@ -253,6 +253,13 @@ class TestParallelInvariance:
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_worker_count_is_a_one_line_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("RADIAL_THREADS", value)
+        code, _, stderr = run_cli(capsys, "bench-synthetic", "--reps", "1")
+        assert code == 1
+        assert stderr.startswith("error: RADIAL_THREADS ") and stderr.count("\n") == 1
+
 
 def test_predictions_dump(tmp_path, capsys):
     out = tmp_path / "bench.csv"

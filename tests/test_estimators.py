@@ -474,39 +474,47 @@ def tied_batches(draw):
     return estimators.ProfileBatch(radii, labels), rng
 
 
-def _tiled(batch, count):
-    return estimators.ProfileBatch(np.tile(batch.radii, (count, 1)), np.tile(batch.labels, (count, 1)))
+_FIELDS = ("values", "used_points", "converged")
 
 
-def _same(per_row, one_by_one):
-    """The per-row estimate equals the stacked one-parameter estimates bit for bit."""
-    stacked = [np.concatenate([np.broadcast_to(getattr(e, name), e.values.shape) for e in one_by_one])
-               for name in ("values", "used_points", "converged")]
-    for name, want in zip(("values", "used_points", "converged"), stacked):
-        got = np.broadcast_to(getattr(per_row, name), per_row.values.shape)
-        assert got.tobytes() == want.astype(got.dtype).tobytes(), name
+def _fields(estimate):
+    """The values and the diagnostics broadcast against them."""
+    return [np.broadcast_to(getattr(estimate, name), estimate.values.shape) for name in _FIELDS]
+
+
+def _columns(one_by_one):
+    """The fields of one-parameter estimates, as the columns of a grid's."""
+    return [np.stack(column, axis=-1) for column in zip(*map(_fields, one_by_one))]
+
+
+def _same(got, want):
+    """Each field of ``got`` equals the array in ``want`` bit for bit."""
+    for name, field, array in zip(_FIELDS, _fields(got), want):
+        assert field.shape == array.shape, name
+        assert field.tobytes() == array.astype(field.dtype).tobytes(), name
 
 
 class TestPerRowParameters:
+    """A kernel given a grid of C parameters: column c of its (m, C)
+    result is the call with parameter c."""
+
     @settings(max_examples=60, deadline=None)
     @given(tied_batches(), st.integers(1, 5))
     def test_knn_per_row_equals_one_call_per_k(self, drawn, count):
         batch, rng = drawn
-        m, n = batch.radii.shape
-        ks = rng.integers(1, n + 1, size=count)
-        _same(estimators._knn(_tiled(batch, count), np.repeat(ks, m)),
-              [estimators._knn(batch, int(k)) for k in ks])
+        ks = rng.integers(1, batch.radii.shape[1] + 1, size=count)
+        _same(estimators._knn(batch, ks), _columns([estimators._knn(batch, int(k)) for k in ks]))
 
     @settings(max_examples=60, deadline=None)
     @given(tied_batches(), st.integers(1, 4), st.integers(0, 2),
            st.sampled_from([("poly", "squared"), ("logi", "logistic"), ("logi", "logit_squared")]))
     def test_msknn_per_row_equals_one_call_per_ladder(self, drawn, count, q, combination):
         batch, rng = drawn
-        m, n = batch.radii.shape
+        n = batch.radii.shape[1]
         J = int(rng.integers(q + 1, min(n, 6) + 1))
         ladders = np.sort([rng.choice(np.arange(1, n + 1), size=J, replace=False) for _ in range(count)], axis=1)
-        _same(estimators._msknn(_tiled(batch, count), np.repeat(ladders, m, axis=0), q, *combination),
-              [estimators._msknn(batch, ladder.tolist(), q, *combination) for ladder in ladders])
+        _same(estimators._msknn(batch, ladders, q, *combination),
+              _columns([estimators._msknn(batch, ladder.tolist(), q, *combination) for ladder in ladders]))
 
     @settings(max_examples=100, deadline=None)
     @given(tied_batches(), st.floats(0.25, 3.0))
@@ -516,7 +524,8 @@ class TestPerRowParameters:
         used = inside.sum(axis=1)
         assume(np.all(used > 0))
         got = estimators._ks(batch, h)
-        _same(got, [estimators._knn(batch, used)])
+        # Row i under the grid's k = used[i].
+        _same(got, [field.diagonal() for field in _fields(estimators._knn(batch, used))])
         # The plain boxcar mean: the labels within h, summed, over their count.
         assert got.values.tobytes() == (np.where(inside, batch.labels, 0.0).sum(axis=1) / used).tobytes()
 
@@ -532,7 +541,7 @@ class TestPerRowParameters:
         for ladders, needle in (([[1, 2, 3], [1, 3, 3]], "strictly increasing and nonempty, got [1, 3, 3]"),
                                 ([[1, 2, 7], [1, 2, 3]], "within [1, 6], got [1, 2, 7]"),
                                 ([[0, 2, 3], [1, 2, 3]], "got [0, 2, 3]"),
-                                ([[1, 2, 3]] * 3, "one ladder per batch row (2), got 3")):
+                                ([[1, 2, 3], [1, 2, 4], [2, 2, 3]], "got [2, 2, 3]")):
             with pytest.raises(ParameterError) as err:
                 estimators._msknn(batch, np.array(ladders), 2, "poly", "squared")
             assert needle in str(err.value) and "\n" not in str(err.value)
