@@ -25,7 +25,6 @@ from .estimators import (
     EstimatorSpec,
     InverseRadius,
     NearestCount,
-    UniformInBall,
     classify,
     kernel_smoother,
     knn,
@@ -34,7 +33,7 @@ from .estimators import (
     lrr,
     msknn,
 )
-from .localfit import MultivariatePoly, RadialEvenPoly, RadialPoly
+from .localfit import MultivariatePoly, RadialPoly
 
 __version__ = "0.1.0"
 
@@ -48,9 +47,7 @@ __all__ = [
     "MultivariatePoly",
     "NearestCount",
     "NeighborProfile",
-    "RadialEvenPoly",
     "RadialPoly",
-    "UniformInBall",
     "as_covariate",
     "classify",
     "dtw",

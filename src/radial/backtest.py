@@ -23,7 +23,7 @@ import numpy as np
 from . import estimators
 # idtw stays importable here: bench/radbench/layers.py traces the
 # radial.backtest.idtw binding.
-from .core import dtw_columns, idtw, read_csv, rescale, stable_argsort, write_csv  # noqa: F401
+from .core import dtw_columns, idtw, read_csv, rescale, write_csv  # noqa: F401
 from .errors import ConfigurationError, DomainError, ParameterError, ParseError
 
 MonthId = tuple[int, int]
@@ -286,7 +286,7 @@ class _WalkDistances:
 
         A query month whose row does not reach back to the pool fills it
         from there; each row is then sorted stably, so ties go to the
-        earlier month.
+        earlier month, and ``index`` holds positions in the pool.
         """
         s = pool.start
         for i in queries.start + np.flatnonzero(np.isnan(self.dist[queries.start:queries.stop, s])):
@@ -295,12 +295,7 @@ class _WalkDistances:
             a = self.closes[:self.lengths[i], i]
             self.dist[i, s:i] = dtw_columns(a, self.closes[:, s:i], self.lengths[s:i])
         block = self.dist[queries.start:queries.stop, s:pool.stop]
-        order = stable_argsort(block)
-        return estimators.ProfileBatch(
-            radii=block[np.arange(len(order))[:, None], order],
-            labels=self.labels[s:pool.stop][order],
-            index=order + s,
-        )
+        return estimators.ProfileBatch.by_distance(block, self.labels[s:pool.stop])
 
 
 def _candidates(method: estimators.Method, fixed: dict, config: WalkForwardConfig):

@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     zeta = sub.add_parser("zeta", help="guard-statistic concentration experiment")
     zeta.add_argument("--d", type=int, default=2)
-    zeta.add_argument("--r-tilde", type=float, default=1.0)
     zeta.add_argument("--sizes", default="10,100,2000", help="comma-separated window sizes")
     zeta.add_argument("--reps", type=int, default=200)
     zeta.add_argument("--seed", type=_seed, default=0)
@@ -150,7 +149,8 @@ def _cmd_zeta(parser, args) -> int:
         parser.error("--reps must be >= 2")
     # Computed first: it rejects a dimension below 1 before the sampler uses it.
     constants = theorylab.uniform_ball_constants(args.d)
-    rows = theorylab.zeta_concentration(args.d, args.r_tilde, sizes, args.reps, args.seed)
+    # The statistic is scale-free, so the radii are drawn from the unit ball.
+    rows = theorylab.zeta_concentration(args.d, 1.0, sizes, args.reps, args.seed)
     if args.out:
         theorylab.write_zeta_csv(rows, args.out)
     for row in rows:

@@ -118,6 +118,8 @@ class NeighborProfile:
         idx = np.asarray(self.source_indices, dtype=np.int64)
         if not (r.shape == lab.shape == idx.shape) or r.ndim != 1:
             raise DimensionMismatch("radii, labels, source_indices must be co-indexed 1-d arrays")
+        if not np.all(np.isfinite(r)):
+            raise DomainError("radii must be finite")
         if r.shape[0] and np.any(np.diff(r) < 0):
             raise DomainError("radii must be nondecreasing")
         for name, arr in (("radii", r), ("labels", lab), ("source_indices", idx)):
@@ -260,22 +262,31 @@ def profile(data: Dataset, metric: Metric, query) -> NeighborProfile:
 
     Euclidean distances on a fixed-dimension dataset, and ``dtw``/``idtw``
     on any dataset, are computed for all rows at once; any other metric is
-    called once per row. The rows are ordered by ``stable_argsort``: ties
-    in distance are broken by ascending original index, exactly as a stable
-    sort breaks them, so the result is deterministic.
+    called once per row. A distance that is not finite, such as one that
+    overflows, raises ``DomainError``. The rows are ordered by
+    ``stable_argsort``: ties in distance are broken by ascending original
+    index, exactly as a stable sort breaks them, so the result is
+    deterministic.
     """
     q = as_covariate(query)
-    if metric is euclidean and data.dim is not None:
-        if data.dim != q.shape[0]:
-            raise DimensionMismatch(f"query has length {q.shape[0]}, data has dimension {data.dim}")
-        dists = euclidean_distances(q[None, :], data.covariates)[0]
-    elif metric is dtw or metric is idtw:
-        rows = list(data.covariates)
-        if metric is idtw:
-            q, rows = rescale(q), [rescale(x) for x in rows]
-        dists = dtw_columns(q, *pad(rows))
-    else:
-        dists = np.array([metric(q, x) for x in data.covariates], dtype=np.float64)
+    # A distance past the largest double overflows to inf, which is
+    # reported below as an error rather than as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if metric is euclidean and data.dim is not None:
+            if data.dim != q.shape[0]:
+                raise DimensionMismatch(f"query has length {q.shape[0]}, data has dimension {data.dim}")
+            dists = euclidean_distances(q[None, :], data.covariates)[0]
+        elif metric is dtw or metric is idtw:
+            rows = list(data.covariates)
+            if metric is idtw:
+                q, rows = rescale(q), [rescale(x) for x in rows]
+            dists = dtw_columns(q, *pad(rows))
+        else:
+            dists = np.array([metric(q, x) for x in data.covariates], dtype=np.float64)
+    if not np.isfinite(dists).all():
+        i = int(np.flatnonzero(~np.isfinite(dists))[0])
+        raise DomainError(f"the distance from the query to point {i} is {float(dists[i])!r}, "
+                          "not a finite number")
     order = stable_argsort(dists)
     return NeighborProfile._frozen(dists[order], data.labels[order], order)
 

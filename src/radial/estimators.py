@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import localfit
-from .core import Dataset, NeighborProfile, as_covariate
-from .errors import DimensionMismatch, EmptyWindowError, ParameterError
-from .localfit import MultivariatePoly, RadialEvenPoly, RadialPoly
+from .core import Dataset, NeighborProfile, as_covariate, stable_argsort
+from .errors import DimensionMismatch, DomainError, EmptyWindowError, ParameterError
+from .localfit import MultivariatePoly, RadialPoly
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ class ProfileBatch:
     Row i holds the radii, labels (as floats) and dataset indices of query
     i's neighbors, nondecreasing in radius. ``covariates`` (the dataset's
     (N, d) array) and ``queries`` ((m, d)) are needed only by the local
-    polynomial kernels.
+    polynomial kernels. :meth:`of` builds the batch of one profile, and
+    :meth:`by_distance` the batch of a matrix of distances.
     """
 
     radii: np.ndarray
@@ -75,6 +76,18 @@ class ProfileBatch:
             covariates, queries = data.covariates, as_covariate(query)[None, :]
         labels = profile.labels[None, :].astype(np.float64)
         return cls(profile.radii[None, :], labels, profile.source_indices[None, :], covariates, queries)
+
+    @classmethod
+    def by_distance(cls, D, labels, covariates=None, queries=None) -> "ProfileBatch":
+        """The batch of the (m, n) distances ``D`` from m queries to n points
+        labeled ``labels``: each row ordered by ``stable_argsort``, so ties
+        go to the lower column, and ``index`` that column order."""
+        if not np.isfinite(D).all():
+            raise DomainError("a distance is not a finite number")
+        order = stable_argsort(D)
+        # An index pair gathers faster than take_along_axis, at every size.
+        radii = D[np.arange(len(order))[:, None], order]
+        return cls(radii, np.asarray(labels, dtype=np.float64)[order], order, covariates, queries)
 
 
 @dataclass(frozen=True)
@@ -134,22 +147,6 @@ class Boxcar:
 
 
 @dataclass(frozen=True)
-class UniformInBall:
-    """w(r) = 1/N inside radius ``r_tilde`` and 0 outside, N the inside count."""
-
-    r_tilde: float
-
-    def __post_init__(self):
-        if not self.r_tilde > 0:
-            raise ParameterError("cutoff radius must be positive")
-
-    def __call__(self, radii: np.ndarray) -> np.ndarray:
-        ball = radii <= self.r_tilde
-        n = ball.sum(axis=-1, keepdims=True)
-        return ball / np.maximum(n, 1)
-
-
-@dataclass(frozen=True)
 class NearestCount:
     """w = 1 on each row's first ``k`` columns, its k nearest points when
     the row is sorted, and 0 after them."""
@@ -163,7 +160,7 @@ class NearestCount:
         return np.broadcast_to(np.arange(n) < self.k, radii.shape).astype(np.float64)
 
 
-WeightFunction = ConstantOne | InverseRadius | Boxcar | UniformInBall | NearestCount
+WeightFunction = ConstantOne | InverseRadius | Boxcar | NearestCount
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +304,11 @@ def _lrr(
     if loss not in ("squared", "logistic"):
         raise ParameterError(f"loss must be 'squared' or 'logistic', got {loss!r}")
 
-    def basis(qq):
-        if even and qq >= 1:
-            return RadialEvenPoly(qq)
-        return RadialPoly(0 if even else qq)
-
     def radial(rows, width, basis):
         return localfit.RadialFeatures(batch.radii[rows, :width], basis)
 
-    return _local_fit(batch, weight_fn(batch.radii), q, basis, radial, loss == "logistic",
-                      "the weights leave no usable point")
+    return _local_fit(batch, weight_fn(batch.radii), q, lambda qq: RadialPoly(qq, even), radial,
+                      loss == "logistic", "the weights leave no usable point")
 
 
 # ---------------------------------------------------------------------------

@@ -1,38 +1,11 @@
 """Weighted least-squares and weighted logistic solvers over polynomial bases.
 
-Both solvers accept leading batch dimensions so that many small independent
-local fits (one per query) can be driven through a single call; a single
-problem is simply batch shape ``()``. Columns are standardized before
-solving and the coefficients are mapped back, which keeps the normal
-equations well conditioned when radii are far from unit scale.
-
-Both solvers work on a design object of the standardized columns. There
-are two designs:
-
-- the dense design holds the standardized (B, n, p) array, and each of its
-  contractions is a batched matmul on BLAS, the Hessian a weighted Gram
-  matrix;
-- the radial design serves ``RadialFeatures``, whose columns are powers of
-  one radius r. It holds the powers of the centered, scaled radius
-  u = (r - m) / s up to twice the basis's largest exponent, and an exact
-  binomial change of basis M from powers of u to the standardized columns.
-  Its Hessian is M^T K M for the Hankel matrix K of the power sums
-  sum c u^k (the moment form of local polynomial fitting), and its
-  gradient is M^T (sum v u^k). Every power sum, the column scaling's
-  among them, is one product of those powers with c.
-
-Least squares solves each problem from its p x p Gram matrix G = X^T W X
-and X^T W y on either design, with one refinement step; only a problem whose
-G is conditioned worse than ``GRAM_CONDITION_LIMIT`` takes the SVD.
-
-The logistic solver is one damped-Newton loop over either design. It
-scores a candidate from its linear predictor f = X theta in one pass over
-the rows, where one exp(-|f|) yields both the softplus of the likelihood
-and the sigmoid of the next gradient; the accepted candidate's f and
-probabilities carry into the next iteration, so the loop never recomputes
-X theta. At the start, theta = 0, both are read off in closed form.
-``sigmoid`` is the program's only sigmoid: the estimators read their
-intercepts out through it too.
+The module holds the feature maps (``MultivariatePoly``, ``RadialPoly``,
+and ``RadialFeatures``, which LRR and LRLR pass in), the column
+standardization, the dense and radial designs that both solvers work on,
+``solve_wls``, ``fit_logistic``, and ``sigmoid``, the program's only
+sigmoid. Both solvers take leading batch dimensions, so many small local
+fits run in one call; the README's Solvers bullet describes their methods.
 """
 
 from __future__ import annotations
@@ -131,9 +104,11 @@ class MultivariatePoly:
 
 @dataclass(frozen=True)
 class RadialPoly:
-    """Basis 1, r, r^2, ..., r^degree of the radial distance."""
+    """Basis 1, r, r^2, ..., r^degree of the radial distance, or with
+    ``even`` set its even powers 1, r^2, r^4, ..., r^(2*degree)."""
 
     degree: int
+    even: bool = False
 
     def __post_init__(self):
         if self.degree < 0:
@@ -145,37 +120,11 @@ class RadialPoly:
 
     @property
     def exponents(self) -> np.ndarray:
-        return np.arange(self.degree + 1)
+        return np.arange(self.degree + 1) * (2 if self.even else 1)
 
     def expand(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
         return r[..., None] ** self.exponents
-
-
-@dataclass(frozen=True)
-class RadialEvenPoly:
-    """Basis 1, r^2, r^4, ..., r^(2*order) of the radial distance."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ParameterError("order must be >= 1")
-
-    @property
-    def output_dim(self) -> int:
-        return self.order + 1
-
-    @property
-    def exponents(self) -> np.ndarray:
-        return np.concatenate(([0], 2 * np.arange(1, self.order + 1)))
-
-    def expand(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=np.float64)
-        return r[..., None] ** self.exponents
-
-
-RadialBasis = RadialPoly | RadialEvenPoly
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +139,7 @@ class RadialFeatures:
     """
 
     radii: np.ndarray
-    basis: RadialBasis
+    basis: RadialPoly
 
     def __post_init__(self):
         object.__setattr__(self, "radii", np.ascontiguousarray(self.radii, dtype=np.float64))

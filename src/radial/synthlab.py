@@ -17,7 +17,7 @@ import numpy as np
 
 from . import estimators, localfit
 from ._parallel import indexed_map
-from .core import euclidean_distances, stable_argsort, write_csv
+from .core import euclidean_distances, write_csv
 from .errors import DimensionMismatch, EmptyWindowError, ParameterError
 
 # Not called here (the kernels call localfit's solvers); the benchmark's
@@ -175,14 +175,7 @@ def trial_estimates(
     batch = None
     if any(m.kind not in _BASELINES for m in methods):
         D = euclidean_distances(arrays.test_x, arrays.train_x)
-        order = stable_argsort(D)
-        batch = estimators.ProfileBatch(
-            np.take_along_axis(D, order, axis=1),
-            arrays.train_y[order].astype(np.float64),
-            order,
-            covariates=arrays.train_x,
-            queries=arrays.test_x,
-        )
+        batch = estimators.ProfileBatch.by_distance(D, arrays.train_y, arrays.train_x, arrays.test_x)
 
     estimates: dict[str, np.ndarray] = {}
     for method in methods:

@@ -23,7 +23,7 @@ import numpy as np
 from ._parallel import indexed_map  # noqa: F401
 from .core import euclidean_distances, strict_floor, write_csv
 from .errors import ConfigurationError, DimensionMismatch, ParameterError
-from .estimators import ProfileBatch, UniformInBall, _lrr
+from .estimators import Boxcar, ProfileBatch, _lrr
 # solve_wls stays importable here: bench/radbench/layers.py traces the
 # radial.theorylab.solve_wls binding.
 from .localfit import solve_wls  # noqa: F401
@@ -146,7 +146,7 @@ def theory_lrr(radii, config: TheoryConfig, labels) -> float:
     """Intercept of the uniform-weight even-degree radial fit; 0 off-event.
 
     The fit is the batched estimator kernel of ``lrr(profile,
-    UniformInBall(r_tilde), omega, even=True)`` on a batch of one. It agrees
+    Boxcar(r_tilde), omega, even=True)`` on a batch of one. It agrees
     with :func:`lrr_closed_form` to high precision whenever the guard event
     holds (the closed form is its algebraic identity).
     """
@@ -157,7 +157,7 @@ def theory_lrr(radii, config: TheoryConfig, labels) -> float:
     if not design_state(radii, config).event_holds:
         return 0.0
     batch = ProfileBatch(radii[None, :], labels[None, :])
-    return float(_lrr(batch, UniformInBall(config.r_tilde), q=config.omega, even=True).values[0])
+    return float(_lrr(batch, Boxcar(config.r_tilde), q=config.omega, even=True).values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,8 @@ def zeta_concentration(
 
     Draws N radii uniformly from the d-ball and records
     ``(sum r)^2 / (N * sum r^2)``, the statistic whose limit is the
-    ``rho_star`` of :func:`uniform_ball_constants`.
+    ``rho_star`` of :func:`uniform_ball_constants`. It is scale-free:
+    ``r_tilde`` changes it only by rounding.
     """
     if reps < 2:
         raise ParameterError("reps must be >= 2 to report a standard deviation")

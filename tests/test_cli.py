@@ -1,5 +1,6 @@
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -323,28 +324,25 @@ BUY = ["backtest", "--input", "builtin", "--method", "buy"]
     (["--method", "knn", "--params", "k=1", "--query", ""], 2, "comma-separated numbers"),
     (BUY + ["--test-start", "2030-01"], 1, "not present in the labeled history"),
     (BUY + ["--validation-months", "0"], 1, "validation window must be >= 1"),
-    (["zeta", "--reps", "2", "--r-tilde", "-1"], 1, "cutoff radius must be positive"),
-    (["zeta", "--reps", "2", "--r-tilde", "0"], 1, "cutoff radius must be positive"),
-    (["zeta", "--reps", "2", "--r-tilde", "nan"], 1, "cutoff radius must be positive"),
     (["rate", "--reps", "1", "--beta", "nan"], 1, "beta must be positive"),
     (["--method", "ks", "--params", "h=nan"], 1, "bandwidth must be positive"),
     (["--method", "lpor", "--params", "h=nan"], 1, "bandwidth must be positive"),
     (["rate", "--reps", "1", "--sizes", "0,1,2"], 1, "sample sizes must be >= 1"),
     (["rate", "--reps", "1", "--d", "-3"], 1, "dimension must be >= 1"),
     (["rate", "--reps", "1", "--beta", "-0.5"], 1, "beta must be positive"),
-    (["zeta", "--reps", "2", "--r-tilde", "inf"], 1, "cutoff radius must be positive and finite"),
     (["rate", "--reps", "1", "--beta", "1e308"], 1, "beta = 1e+308"),
     (["rate", "--reps", "1", "--beta", "inf"], 1, "beta must be positive and finite"),
     (["backtest", "--input", "builtin", "--method", "knn", "--train-months", "10",
       "--validation-months", "5"], 1, "validation window of 5 leaves 5 tuning months"),
     (["--method", "lrr", "--params", "loss=logistic"], 2, "unknown parameter 'loss'"),
+    (["zeta", "--reps", "2", "--r-tilde", "2"], 2, "unrecognized arguments: --r-tilde"),
 ], ids=["ks-without-h", "k-not-int", "k_vec-not-int", "unknown-weight", "bad-month", "zeta-d0",
         "unknown-name-with-line-break", "lpor-on-ragged-rows", "bench-negative-seed",
         "rate-negative-seed", "zeta-negative-seed", "backtest-negative-seed", "query-not-numbers",
-        "query-empty", "test-start-after-history", "validation-months-0", "zeta-negative-r-tilde",
-        "zeta-zero-r-tilde", "zeta-nan-r-tilde", "rate-nan-beta", "ks-nan-h", "lpor-nan-h",
-        "rate-size-0", "rate-negative-d", "rate-negative-beta", "zeta-infinite-r-tilde",
-        "rate-huge-beta", "rate-infinite-beta", "backtest-tuning-window-below-k", "lrr-loss"])
+        "query-empty", "test-start-after-history", "validation-months-0", "rate-nan-beta",
+        "ks-nan-h", "lpor-nan-h", "rate-size-0", "rate-negative-d", "rate-negative-beta",
+        "rate-huge-beta", "rate-infinite-beta", "backtest-tuning-window-below-k", "lrr-loss",
+        "zeta-r-tilde-removed"])
 def test_bad_input_exits_with_one_line(train_csv, ragged_csv, argv, code, needle):
     if argv[0] == "--method":
         argv = ESTIMATE + [train_csv] + argv
@@ -352,6 +350,22 @@ def test_bad_input_exits_with_one_line(train_csv, ragged_csv, argv, code, needle
     got, err = exit_status(argv)
     assert got == code
     assert len(err.splitlines()) == 1 and "error: " in err and needle in err
+
+
+@pytest.mark.parametrize("query, method, params", [
+    ("1e200,1e200", "lrr", ""),
+    ("1e200,1e200", "lrlr", ""),
+    ("1e308,1e308", "knn", "k=1"),
+    ("1e200,1e200", "lpor", "h=1e300,q=2"),
+])
+def test_distances_past_the_largest_double_are_a_one_line_error(train_csv, query, method, params):
+    argv = ["estimate", "--train", train_csv, "--query", query, "--method", method, "--params", params]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = exit_status(argv)
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ") and "not a finite number" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_bad_file_contents_exit_with_one_line(tmp_path):

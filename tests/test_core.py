@@ -204,6 +204,23 @@ class TestProfile:
         assert np.array_equal(a.source_indices, b.source_indices)
         assert np.array_equal(a.radii, b.radii)
 
+    @pytest.mark.parametrize("kind", ["euclidean", "dtw", "per-row metric"])
+    def test_a_distance_that_is_not_finite_is_a_domain_error(self, kind):
+        # The true distances overflow a double (or are NaN, from a metric).
+        if kind == "dtw":
+            data = core.Dataset.from_sequences([[0.0, 1.0], [1.0]], [0, 1])
+            metric, query = core.dtw, [1e200]
+        elif kind == "euclidean":
+            data = core.Dataset.from_arrays([[0.0, 0.0], [1.0, 1.0]], [0, 1])
+            metric, query = core.euclidean, [1e200, 1e200]
+        else:
+            data = core.Dataset.from_arrays([[0.0], [1.0]], [0, 1])
+            metric, query = (lambda a, b: np.nan), [0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="to point 0 is (inf|nan), not a finite number"):
+                core.profile(data, metric, query)
+
     @pytest.mark.parametrize("kind", ["euclidean", "idtw", "per-row metric"])
     def test_arrays_are_read_only_and_equal_a_validated_profile(self, kind):
         # profile freezes the arrays it builds instead of passing them
@@ -304,6 +321,12 @@ class TestDomainTypes:
     def test_profile_invariants_enforced(self):
         with pytest.raises(DomainError):
             core.NeighborProfile([2.0, 1.0], [0, 1], [0, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_profile_radii_must_be_finite(self, bad):
+        # NaN passes the order check, so finiteness is checked on its own.
+        with pytest.raises(DomainError, match="radii must be finite"):
+            core.NeighborProfile([0.0, bad, 1.0], [0, 1, 0], [0, 1, 2])
 
 
 @pytest.mark.parametrize(

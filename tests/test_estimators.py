@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from radial import core, estimators, localfit, theorylab
-from radial.errors import DimensionMismatch, EmptyWindowError, ParameterError
+from radial.errors import DimensionMismatch, DomainError, EmptyWindowError, ParameterError
 from radial.estimators import (
     Boxcar,
     ConstantOne,
     InverseRadius,
     NearestCount,
-    UniformInBall,
     classify,
     kernel_smoother,
     knn,
@@ -46,6 +45,14 @@ class TestBatchEstimate:
             got = batch[i]
             assert got == want
             assert type(got.diagnostics.used_points) is int and type(got.diagnostics.converged) is bool
+
+
+class TestByDistance:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_distance_that_is_not_finite_is_a_domain_error(self, bad):
+        D = np.array([[0.5, 1.0, 2.0], [1.0, bad, 0.0]])
+        with pytest.raises(DomainError, match="not a finite number"):
+            estimators.ProfileBatch.by_distance(D, [0, 1, 1])
 
 
 def make_profile(radii, labels):
@@ -340,7 +347,7 @@ class TestLrr:
             state = theorylab.design_state(prof.radii, config)
             if not state.event_holds:
                 continue
-            est = lrr(prof, UniformInBall(r_tilde), omega, "squared", even=True)
+            est = lrr(prof, Boxcar(r_tilde), omega, "squared", even=True)
             oracle = theorylab.lrr_closed_form(state, prof.labels[prof.radii <= r_tilde])
             assert_allclose(est.value, oracle, atol=1e-8)
 
@@ -392,7 +399,7 @@ def test_points_beyond_every_window_change_no_estimate():
         h, q = float(rng.uniform(0.5, 1.0)), int(rng.integers(0, 3))
         assert lpor(data, prof, query, h, q) == lpor(wide, wide_prof, query, h, q)
         assert lpolr(data, prof, query, h, q) == lpolr(wide, wide_prof, query, h, q)
-        for weight in (Boxcar(h), UniformInBall(h), NearestCount(int(rng.integers(5, 41)))):
+        for weight in (Boxcar(h), NearestCount(int(rng.integers(5, 41)))):
             for loss in ("squared", "logistic"):
                 assert lrr(prof, weight, q, loss) == lrr(wide_prof, weight, q, loss)
         config = theorylab.TheoryConfig(beta=3, d=2, r_tilde=h, phi=0.99)

@@ -15,7 +15,6 @@ from radial.localfit import (
     SEPARATION_NORM,
     SEPARATION_RIDGE,
     MultivariatePoly,
-    RadialEvenPoly,
     RadialFeatures,
     RadialPoly,
     fit_logistic,
@@ -39,7 +38,7 @@ class TestFeatureMaps:
 
     def test_radial_dims(self):
         assert RadialPoly(3).output_dim == 4
-        assert RadialEvenPoly(2).output_dim == 3
+        assert RadialPoly(2, even=True).output_dim == 3
 
     def test_evaluate_radial_at_zero(self):
         assert RadialPoly(2).expand(0.0) @ [0.3, -1.0, 5.0] == 0.3
@@ -48,10 +47,10 @@ class TestFeatureMaps:
         assert MultivariatePoly(1, 2).expand([1.0, 1.0]) @ [1.0, 2.0, 3.0] == 6.0
 
     def test_evaluate_even(self):
-        assert_allclose(RadialEvenPoly(1).expand(2.0) @ [0.5, -0.1], 0.1)
+        assert_allclose(RadialPoly(1, even=True).expand(2.0) @ [0.5, -0.1], 0.1)
 
     def test_even_basis_values(self):
-        assert_allclose(RadialEvenPoly(2).expand(2.0), [1.0, 4.0, 16.0])
+        assert_allclose(RadialPoly(2, even=True).expand(2.0), [1.0, 4.0, 16.0])
 
     def test_multivariate_expand_is_the_product_of_powers_bitwise(self):
         rng = np.random.default_rng(9)
@@ -103,7 +102,7 @@ class TestWls:
 
     def test_intercept_invariant_under_radial_rescaling(self):
         rng = np.random.default_rng(4)
-        for basis in (RadialPoly(2), RadialPoly(4), RadialEvenPoly(1), RadialEvenPoly(2)):
+        for basis in (RadialPoly(2), RadialPoly(4), RadialPoly(1, even=True), RadialPoly(2, even=True)):
             r = rng.uniform(0.01, 1.0, size=40)
             y = rng.normal(size=40)
             w = rng.uniform(0.5, 1.5, size=40)
@@ -145,7 +144,7 @@ class TestWls:
         # the standardized solve must still interpolate
         r = np.linspace(1e-3, 2e-3, 12)
         y = 0.4 + 3.0 * r**2
-        theta, flag = solve_wls(RadialEvenPoly(2).expand(r), y, np.ones(12))
+        theta, flag = solve_wls(RadialPoly(2, even=True).expand(r), y, np.ones(12))
         assert not flag
         assert_allclose(theta[0], 0.4, atol=1e-6)
 
@@ -587,7 +586,8 @@ def newton_batch(seed: int, radial: bool):
     rng = np.random.default_rng(seed)
     B, n = int(rng.integers(1, 9)), int(rng.integers(10, 41))
     if radial:
-        basis = [RadialPoly(1), RadialPoly(2), RadialPoly(3), RadialEvenPoly(1), RadialEvenPoly(2)][rng.integers(5)]
+        basis = [RadialPoly(1), RadialPoly(2), RadialPoly(3),
+                 RadialPoly(1, even=True), RadialPoly(2, even=True)][rng.integers(5)]
         z = rng.uniform(0.0, rng.choice([1e-3, 1.0, 50.0]), (B, n)) + rng.choice([0.0, 1e4])
         features = RadialFeatures(z, basis)
     else:
@@ -665,7 +665,7 @@ def radial_problems(draw):
     if draw(st.booleans()):
         basis = RadialPoly(draw(st.integers(0, 3)))
     else:
-        basis = RadialEvenPoly(draw(st.integers(1, 2)))
+        basis = RadialPoly(draw(st.integers(1, 2)), even=True)
     offset, width = draw(st.sampled_from([(0.0, 1e-6), (0.0, 2.0), (0.0, 1e6), (10.0, 0.01), (1e4, 1.0)]))
     n = draw(st.integers(basis.output_dim, 30))
     radii = offset + rng.uniform(0.0, width, batch + (n,))
@@ -735,7 +735,7 @@ class TestRadialDesign:
             assert theta[idx].tobytes() == t1.tobytes()
             assert converged[idx] == c1 and iterations[idx] == i1
 
-    @pytest.mark.parametrize("basis", [RadialPoly(2), RadialEvenPoly(2)])
+    @pytest.mark.parametrize("basis", [RadialPoly(2), RadialPoly(2, even=True)])
     def test_long_batch_rows_match_single_problems_bitwise(self, basis):
         # Past 8192 radii einsum splits a batch row's sum at its buffer
         # size, and a lone problem's not; the radius moments must not.
@@ -750,7 +750,7 @@ class TestRadialDesign:
                 single = solve(RadialFeatures(radii[b], basis), targets[b], weights[b])
                 assert all(a[b].tobytes() == s.tobytes() for a, s in zip(batch, single))
 
-    @pytest.mark.parametrize("basis", [RadialPoly(0), RadialPoly(3), RadialEvenPoly(2)])
+    @pytest.mark.parametrize("basis", [RadialPoly(0), RadialPoly(3), RadialPoly(2, even=True)])
     def test_features_read_as_the_expanded_array(self, basis):
         radii = np.random.default_rng(7).uniform(0.0, 2.0, (4, 9))
         features = RadialFeatures(radii, basis)
@@ -811,7 +811,7 @@ def wls_problems(draw):
     if draw(st.booleans()):
         basis = RadialPoly(draw(st.integers(0, 3)))
     else:
-        basis = RadialEvenPoly(draw(st.integers(1, 2)))
+        basis = RadialPoly(draw(st.integers(1, 2)), even=True)
     offset, width = draw(st.sampled_from([(0.0, 1e-6), (0.0, 2.0), (0.0, 1e6), (1.0, 1.0), (1e2, 1.0), (1e4, 1.0)]))
     n = draw(st.integers(1, 30))
     radii = offset + rng.uniform(0.0, width, batch + (n,))
@@ -1014,6 +1014,6 @@ class TestGramRoute:
 
 def test_feature_maps_reject_bad_params():
     with pytest.raises(ParameterError):
-        RadialEvenPoly(0)
+        RadialPoly(-1, even=True)
     with pytest.raises(ParameterError):
         MultivariatePoly(-1, 2)

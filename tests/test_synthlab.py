@@ -235,11 +235,17 @@ def test_sorted_batch_order_on_ties():
     cfg = sl.SyntheticConfig(n_train=300, n_test=40, reps=1)
     methods = [sl.BenchMethod("knn_k5", "knn", {"k": 5}),
                sl.BenchMethod("lrlr_w1", "lrlr", {"weight": "constant_one", "q": 2})]
+    by_distance, made = estimators.ProfileBatch.by_distance, []
+
+    def record(*args, **kwargs):
+        made.append(by_distance(*args, **kwargs))
+        return made[-1]
+
     with mock.patch.object(sl, "_draw_trial", return_value=arrays), \
-            mock.patch.object(estimators, "ProfileBatch", side_effect=estimators.ProfileBatch) as spy:
+            mock.patch.object(estimators.ProfileBatch, "by_distance", side_effect=record) as spy:
         sl.trial_estimates(cfg, np.random.default_rng(0), methods)
     assert spy.call_count == 1
-    radii, labels, order = spy.call_args_list[0].args[:3]
+    radii, labels, order = made[0].radii, made[0].labels, made[0].index
     D = cdist(test_x, train_x)
     want = np.argsort(D, axis=1, kind="stable")
     assert np.array_equal(order, want)

@@ -173,6 +173,16 @@ class TestZetaConcentration:
             with pytest.raises(ParameterError):
                 tl.zeta_concentration(2, r_tilde, [10], 2, 0)
 
+    @pytest.mark.parametrize("r_tilde, needle", [
+        (-1.0, "cutoff radius must be positive"),
+        (0.0, "cutoff radius must be positive"),
+        (math.nan, "cutoff radius must be positive"),
+        (math.inf, "cutoff radius must be positive and finite"),
+    ], ids=["negative", "zero", "nan", "infinite"])
+    def test_bad_cutoff_radius_is_named(self, r_tilde, needle):
+        with pytest.raises(ParameterError, match=needle):
+            tl.zeta_concentration(2, r_tilde, [10, 100, 2000], 2, 0)
+
     def test_cutoff_scale_invariance(self):
         a = tl.zeta_concentration(2, 1.0, [100], reps=50, rng_seed=5)
         b = tl.zeta_concentration(2, 17.0, [100], reps=50, rng_seed=5)
