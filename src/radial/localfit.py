@@ -5,7 +5,8 @@ and ``RadialFeatures``, which LRR and LRLR pass in), the column
 standardization, the dense and radial designs that both solvers work on,
 ``solve_wls``, ``fit_logistic``, and ``sigmoid``, the program's only
 sigmoid. Both solvers take leading batch dimensions, so many small local
-fits run in one call; the README's Solvers bullet describes their methods.
+fits run in one call; blocks of ``_BLOCK_POINTS`` points keep each pass in L2
+cache and bound the peak memory, and change no result, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -35,6 +36,9 @@ _MAX_HALVINGS = 30
 # a refinement step takes off a factor cond(G) eps of that; past this limit,
 # it takes the SVD of W^(1/2) X.
 GRAM_CONDITION_LIMIT = 1e4
+
+# The most points (problems times n) in one block of a solver's batch.
+_BLOCK_POINTS = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +393,22 @@ def _svd_solve(X, y, w):
     return _destandardize(theta_s, *scaling), keep.sum(axis=-1) < p
 
 
+def _in_blocks(body, features, targets, weights):
+    """``body`` over consecutive blocks of max(1, _BLOCK_POINTS // n) problems of the
+    flattened batch, outputs concatenated; a batch within the budget is one call."""
+    *batch_shape, n, _ = np.shape(features)
+    B, step = prod(batch_shape), max(1, _BLOCK_POINTS // n)
+    if B <= step:
+        return body(features, targets, weights)
+    radial = isinstance(features, RadialFeatures)
+    X = features.radii if radial else np.asarray(features, dtype=np.float64)
+    X = X.reshape((B,) + X.shape[len(batch_shape):])
+    block = (lambda s: RadialFeatures(X[s], features.basis)) if radial else X.__getitem__
+    y, w = (np.asarray(a, dtype=np.float64).reshape(B, n) for a in (targets, weights))
+    parts = [body(block(s), y[s], w[s]) for s in (slice(a, a + step) for a in range(0, B, step))]
+    return tuple(np.concatenate(out).reshape(*batch_shape, *out[0].shape[1:]) for out in zip(*parts))
+
+
 def solve_wls(features, targets, weights):
     """Minimize sum_i w_i (y_i - x_i . theta)^2 over leading batch dims.
 
@@ -414,6 +434,10 @@ def solve_wls(features, targets, weights):
     condition_flag : (...) bool array
         True where the standardized design was rank deficient.
     """
+    return _in_blocks(_solve_wls, features, targets, weights)
+
+
+def _solve_wls(features, targets, weights):
     y = np.ascontiguousarray(targets, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
     batch_shape = y.shape[:-1]
@@ -636,6 +660,10 @@ def fit_logistic(features, targets, weights):
     Returns ``(theta, converged, iterations)`` with the batch shape of the
     inputs.
     """
+    return _in_blocks(_fit_logistic, features, targets, weights)
+
+
+def _fit_logistic(features, targets, weights):
     y = np.ascontiguousarray(targets, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
     design, scaling = _design(features, w)

@@ -314,8 +314,8 @@ def zeta_concentration(
 
     Draws N radii uniformly from the d-ball and records
     ``(sum r)^2 / (N * sum r^2)``, the statistic whose limit is the
-    ``rho_star`` of :func:`uniform_ball_constants`. It is scale-free:
-    ``r_tilde`` changes it only by rounding.
+    ``rho_star`` of :func:`uniform_ball_constants`. It is scale-free, so
+    the radii are drawn from the unit ball and ``r_tilde`` does not enter it.
     """
     if reps < 2:
         raise ParameterError("reps must be >= 2 to report a standard deviation")
@@ -328,7 +328,7 @@ def zeta_concentration(
         if n < 1:
             raise ParameterError("window sizes must be >= 1")
         rng = np.random.default_rng(seed)
-        radii = sample_ball_radii(rng, n * reps, d, r_tilde).reshape(reps, n)
+        radii = sample_ball_radii(rng, n * reps, d, 1.0).reshape(reps, n)
         ratios = radii.sum(axis=1) ** 2 / (n * (radii**2).sum(axis=1))
         rows.append(ConcentrationRow(n, float(ratios.mean()), float(ratios.std(ddof=1))))
     return rows

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -1010,6 +1011,91 @@ class TestGramRoute:
             theta, flag = solve_wls(features, targets, weights)
             assert np.array_equal(flag, [False, True, True]) and want_flag.all()
             assert theta[1:].tobytes() == want.tobytes()
+
+
+@st.composite
+def blocked_problems(draw):
+    """Batches of 1 to 8 problems over a multivariate or a radial basis,
+    whose fourth problem is separated by two points 2e-3 apart and whose sixth has
+    collinear columns, when the batch has them: with blocks of 3 problems
+    they take the separation refit and the SVD in a later block."""
+    batch = draw(st.sampled_from([(1,), (2,), (3,), (4,), (7,), (2, 4)]))
+    B = int(np.prod(batch))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(8, 30))
+    z = rng.uniform(0.0, 2.0, (B, n))
+    if B > 3:
+        z[3, :2] = 1.0 - 1e-3, 1.0 + 1e-3
+    if draw(st.booleans()):
+        basis = MultivariatePoly(draw(st.integers(1, 2)), 2)
+        points = np.stack([z, rng.uniform(0.0, 2.0, (B, n))], axis=-1)
+        if B > 3:
+            points[3, 1, 1] = points[3, 0, 1]
+        if B > 5:
+            points[5, :, 1] = points[5, :, 0]
+        features = basis.expand(points).reshape(batch + (n, basis.output_dim))
+    else:
+        basis = RadialPoly(draw(st.integers(1, 2)), even=draw(st.booleans()))
+        if B > 5:
+            z[5] = rng.choice(rng.uniform(0.0, 2.0, basis.output_dim - 1), n)
+        features = RadialFeatures(z.reshape(batch + (n,)), basis)
+    targets = rng.integers(0, 2, (B, n)).astype(float)
+    if B > 3:
+        targets[3] = z[3] < 1.0
+    weights = rng.uniform(0.1, 2.0, (B, n))
+    return features, targets.reshape(batch + (n,)), weights.reshape(batch + (n,))
+
+
+def rows_of(features, idx):
+    if isinstance(features, RadialFeatures):
+        return RadialFeatures(features.radii[idx], features.basis)
+    return features[idx]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(blocked_problems(), st.sampled_from([fit_logistic, solve_wls]))
+    def test_blocks_match_one_call_and_single_problems_bitwise(self, problem, solve):
+        features, targets, weights = problem
+        batch_shape, n = targets.shape[:-1], targets.shape[-1]
+        whole = solve(features, targets, weights)
+        spies = [mock.patch.object(localfit, name, side_effect=getattr(localfit, name))
+                 for name in ("_newton", "_svd_solve")]
+        with mock.patch.object(localfit, "_BLOCK_POINTS", 3 * n), spies[0] as newton, spies[1] as svd:
+            blocked = solve(features, targets, weights)
+        B = int(np.prod(batch_shape))
+        if solve is fit_logistic:
+            assert newton.call_count >= -(-B // 3)
+            if B > 3:
+                assert SEPARATION_RIDGE in [c.args[3] for c in newton.call_args_list]
+        elif B > 5:
+            assert svd.call_count >= 1 and blocked[1].reshape(-1)[5]
+        for got, want in zip(blocked, whole):
+            assert np.array_equal(got, want) and same_bits(got, want)
+        for idx in np.ndindex(batch_shape):
+            single = solve(rows_of(features, idx), targets[idx], weights[idx])
+            assert all(same_bits(got[idx], one) for got, one in zip(blocked, single))
+
+    @pytest.mark.parametrize("solve", [fit_logistic, solve_wls])
+    def test_peak_memory_is_bounded_by_the_block(self, solve):
+        # At (2000, 500) the radial design's powers alone are 40 MB; blocks
+        # of _BLOCK_POINTS points hold the working set to a few MB.
+        rng = np.random.default_rng(3)
+        radii = np.sort(rng.uniform(0.0, 2.0, (2000, 500)), axis=-1)
+        targets = (rng.uniform(size=radii.shape) < 0.5).astype(float)
+        weights = np.ones_like(radii)
+        features = RadialFeatures(radii, RadialPoly(2))
+        tracemalloc.start()
+        try:
+            solve(features, targets, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def test_feature_maps_reject_bad_params():

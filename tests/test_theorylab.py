@@ -164,6 +164,12 @@ class TestZetaConcentration:
         rows = tl.zeta_concentration(1, 1.0, [2000], reps=200, rng_seed=0)
         assert abs(rows[0].ratio_mean - 0.75) <= 0.05
 
+    def test_rows_do_not_depend_on_the_cutoff_radius(self):
+        # Radii in the caller's units would square to 0 or inf at these ends.
+        rows = [tl.zeta_concentration(2, r, [1, 10, 100], 5, 0) for r in (1e-300, 1.0, 1e300)]
+        assert rows[0] == rows[1] == rows[2]
+        assert all(math.isfinite(row.ratio_mean) for row in rows[1])
+
     def test_dimension_below_one_rejected(self):
         with pytest.raises(ParameterError):
             tl.zeta_concentration(0, 1.0, [10], 2, 0)
