@@ -5,8 +5,10 @@ and ``RadialFeatures``, which LRR and LRLR pass in), the column
 standardization, the dense and radial designs that both solvers work on,
 ``solve_wls``, ``fit_logistic``, and ``sigmoid``, the program's only
 sigmoid. Both solvers take leading batch dimensions, so many small local
-fits run in one call; blocks of ``_BLOCK_POINTS`` points keep each pass in L2
-cache and bound the peak memory, and change no result, bit for bit.
+fits run in one call. A call runs its batch in blocks of ``_BLOCK_POINTS``
+points (at least one problem each), so its peak memory is bounded by the block,
+not the batch; the budget was picked by a benchmark sweep, and no result
+depends on it, bit for bit.
 """
 
 from __future__ import annotations
@@ -395,18 +397,17 @@ def _svd_solve(X, y, w):
 
 def _in_blocks(body, features, targets, weights):
     """``body`` over consecutive blocks of max(1, _BLOCK_POINTS // n) problems of the
-    flattened batch, outputs concatenated; a batch within the budget is one call."""
+    flattened batch, outputs concatenated into the batch shape."""
     *batch_shape, n, _ = np.shape(features)
     B, step = prod(batch_shape), max(1, _BLOCK_POINTS // n)
-    if B <= step:
-        return body(features, targets, weights)
     radial = isinstance(features, RadialFeatures)
     X = features.radii if radial else np.asarray(features, dtype=np.float64)
     X = X.reshape((B,) + X.shape[len(batch_shape):])
     block = (lambda s: RadialFeatures(X[s], features.basis)) if radial else X.__getitem__
     y, w = (np.asarray(a, dtype=np.float64).reshape(B, n) for a in (targets, weights))
-    parts = [body(block(s), y[s], w[s]) for s in (slice(a, a + step) for a in range(0, B, step))]
-    return tuple(np.concatenate(out).reshape(*batch_shape, *out[0].shape[1:]) for out in zip(*parts))
+    # An empty batch is still one call, which gives its empty outputs.
+    parts = [body(block(s), y[s], w[s]) for s in (slice(a, a + step) for a in range(0, max(B, 1), step))]
+    return tuple(np.concatenate(out).reshape((*batch_shape, *out[0].shape[1:])) for out in zip(*parts))
 
 
 def solve_wls(features, targets, weights):

@@ -1097,6 +1097,17 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("solve", [fit_logistic, solve_wls])
+    @pytest.mark.parametrize("radial", [False, True])
+    def test_empty_batch_keeps_its_shape(self, solve, radial):
+        for batch_shape, n in (((0,), 5), ((2, 0), 4)):
+            radii = np.ones(batch_shape + (n,))
+            features = (RadialFeatures(radii, RadialPoly(2)) if radial
+                        else np.ones(batch_shape + (n, 3)))
+            theta, *flags = solve(features, radii, radii)
+            assert theta.shape == batch_shape + (3,)
+            assert all(f.shape == batch_shape for f in flags)
+
 
 def test_feature_maps_reject_bad_params():
     with pytest.raises(ParameterError):
