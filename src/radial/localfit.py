@@ -4,11 +4,11 @@ The module holds the feature maps (``MultivariatePoly``, ``RadialPoly``,
 and ``RadialFeatures``, which LRR and LRLR pass in), the column
 standardization, the dense and radial designs that both solvers work on,
 ``solve_wls``, ``fit_logistic``, and ``sigmoid``, the program's only
-sigmoid. Both solvers take leading batch dimensions, so many small local
-fits run in one call. A call runs its batch in blocks of ``_BLOCK_POINTS``
-points (at least one problem each), so its peak memory is bounded by the block,
-not the batch; the budget was picked by a benchmark sweep, and no result
-depends on it, bit for bit.
+sigmoid. Both solvers take leading batch dimensions, so many small local fits
+run in one call; they check and flatten a call once, and run it in blocks of
+``_BLOCK_POINTS`` points (at least one problem each), each a flat, C-contiguous
+(B, n, p) batch, so peak memory is bounded by the block, not the batch. The
+budget was picked by a benchmark sweep, and no result depends on it, bit for bit.
 """
 
 from __future__ import annotations
@@ -300,7 +300,6 @@ def _radial_design(features: RadialFeatures, weights: np.ndarray):
     """
     r = features.radii
     exps = features.basis.exponents
-    batch_shape, n = r.shape[:-1], r.shape[-1]
     totals = weights.sum(axis=-1)
     safe_totals = np.where(totals > 0, totals, 1.0)
     # Centering matters: powers of a radius far from 0 are nearly collinear.
@@ -313,7 +312,7 @@ def _radial_design(features: RadialFeatures, weights: np.ndarray):
     s = np.where(s > 0, s, 1.0)
     u /= s[..., None]
     E = int(exps.max())
-    powers = np.empty(batch_shape + (2 * E + 1, n))
+    powers = np.empty((len(r), 2 * E + 1, r.shape[1]))
     powers[..., 0, :] = 1.0
     for k in range(1, 2 * E + 1):
         np.multiply(powers[..., k - 1, :], u, out=powers[..., k, :])
@@ -325,7 +324,7 @@ def _radial_design(features: RadialFeatures, weights: np.ndarray):
     for _ in range(E):
         m_pow.append(m_pow[-1] * m)
         s_pow.append(s_pow[-1] * s)
-    A = np.zeros(batch_shape + (E + 1, exps.size))
+    A = np.zeros((len(r), E + 1, exps.size))
     for j, e in enumerate(exps):
         # r^e = (m + s u)^e = sum_k C(e, k) m^(e-k) s^k u^k
         for k in range(e + 1):
@@ -343,21 +342,17 @@ def _radial_design(features: RadialFeatures, weights: np.ndarray):
 
     A[..., 0, :] -= center
     A /= scale[..., None, :]
-    design = _RadialDesign(powers.reshape(-1, 2 * E + 1, n), A.reshape(-1, E + 1, exps.size))
-    return design, scaling
+    return _RadialDesign(powers, A), scaling
 
 
 def _design(features, weights):
-    """The design object of ``features`` over its flattened batch, and the
-    ``_column_scaling`` of its columns in the batch shape."""
+    """The design object of a flat batch of ``features`` and the ``_column_scaling`` of its
+    columns. The public solvers check and flatten a call once, in ``_in_blocks``; below it
+    everything takes C-contiguous (B, n, p) features, or ``RadialFeatures`` over (B, n) radii."""
     if isinstance(features, RadialFeatures):
         return _radial_design(features, weights)
-    # einsum and BLAS pick their order of summation by memory layout; in C
-    # order a problem's result does not depend on the layout or the batch
-    # position it arrives in.
-    X = np.ascontiguousarray(features, dtype=np.float64)
-    Xs, *scaling = _standardize(X, weights)
-    return _DenseDesign(Xs.reshape((-1,) + X.shape[-2:])), scaling
+    Xs, *scaling = _standardize(features, weights)
+    return _DenseDesign(Xs), scaling
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +392,20 @@ def _svd_solve(X, y, w):
 
 def _in_blocks(body, features, targets, weights):
     """``body`` over consecutive blocks of max(1, _BLOCK_POINTS // n) problems of the
-    flattened batch, outputs concatenated into the batch shape."""
+    flattened batch, outputs concatenated into the batch shape: the one check and
+    flattening of a call, whose blocks reach ``body`` C-contiguous."""
     *batch_shape, n, _ = np.shape(features)
+    want, got = (*batch_shape, n), (np.shape(targets), np.shape(weights))
+    if n < 1 or got != (want, want):
+        raise DimensionMismatch(f"expected n >= 1, and targets and weights of shape {want}; got {got[0]} and {got[1]}")
     B, step = prod(batch_shape), max(1, _BLOCK_POINTS // n)
     radial = isinstance(features, RadialFeatures)
-    X = features.radii if radial else np.asarray(features, dtype=np.float64)
-    X = X.reshape((B,) + X.shape[len(batch_shape):])
+    # einsum and BLAS pick their order of summation by memory layout; in C
+    # order a problem's result does not depend on the layout or the batch
+    # position it arrives in.
+    X, y, w = (np.ascontiguousarray(a, dtype=np.float64).reshape((B,) + np.shape(a)[len(batch_shape):])
+               for a in (features.radii if radial else features, targets, weights))
     block = (lambda s: RadialFeatures(X[s], features.basis)) if radial else X.__getitem__
-    y, w = (np.asarray(a, dtype=np.float64).reshape(B, n) for a in (targets, weights))
     # An empty batch is still one call, which gives its empty outputs.
     parts = [body(block(s), y[s], w[s]) for s in (slice(a, a + step) for a in range(0, max(B, 1), step))]
     return tuple(np.concatenate(out).reshape((*batch_shape, *out[0].shape[1:])) for out in zip(*parts))
@@ -438,24 +439,16 @@ def solve_wls(features, targets, weights):
     return _in_blocks(_solve_wls, features, targets, weights)
 
 
-def _solve_wls(features, targets, weights):
-    y = np.ascontiguousarray(targets, dtype=np.float64)
-    w = np.ascontiguousarray(weights, dtype=np.float64)
-    batch_shape = y.shape[:-1]
-    n, p = np.shape(features)[-2:]
-    yf, wf = y.reshape(-1, n), w.reshape(-1, n)
-
+def _solve_wls(features, y, w):
     design, scaling = _design(features, w)
-    theta_s, solved = _gram_solve(design, yf, wf)
-    theta = _destandardize(theta_s.reshape(batch_shape + (p,)), *scaling).reshape(-1, p)
-    condition_flag = np.zeros(len(yf), dtype=bool)
+    theta_s, solved = _gram_solve(design, y, w)
+    theta = _destandardize(theta_s, *scaling)
+    condition_flag = np.zeros(len(y), dtype=bool)
     if not solved.all():
         rest = ~solved
-        X = (features.basis.expand(features.radii.reshape(-1, n)[rest])
-             if isinstance(features, RadialFeatures)
-             else np.ascontiguousarray(features, dtype=np.float64).reshape(-1, n, p)[rest])
-        theta[rest], condition_flag[rest] = _svd_solve(X, yf[rest], wf[rest])
-    return theta.reshape(batch_shape + (p,)), condition_flag.reshape(batch_shape)
+        X = features.basis.expand(features.radii[rest]) if isinstance(features, RadialFeatures) else features[rest]
+        theta[rest], condition_flag[rest] = _svd_solve(X, y[rest], w[rest])
+    return theta, condition_flag
 
 
 # ---------------------------------------------------------------------------
@@ -664,45 +657,31 @@ def fit_logistic(features, targets, weights):
     return _in_blocks(_fit_logistic, features, targets, weights)
 
 
-def _fit_logistic(features, targets, weights):
-    y = np.ascontiguousarray(targets, dtype=np.float64)
-    w = np.ascontiguousarray(weights, dtype=np.float64)
-    design, scaling = _design(features, w)
-    scale, center, has_intercept, v0 = scaling
-    batch_shape = np.shape(features)[:-2]
-    n, p = np.shape(features)[-2:]
-    yf = y.reshape(-1, n)
-    wf = w.reshape(-1, n)
+def _fit_logistic(features, y, w):
+    design, (scale, center, has_intercept, v0) = _design(features, w)
     # The solver works on standardized columns where coefficient j is
     # scale_j times its destandardized value, so penalizing theta_s / scale
     # realizes the ridge on the returned coefficients (intercept excluded).
-    pen = (1.0 / scale**2).reshape(-1, p).copy()
+    pen = 1.0 / scale**2
     pen[:, 0] = 0.0
 
-    theta_s, converged, iterations = _newton(design, yf, wf, RIDGE, pen, MAX_ITER, TOL)
+    theta_s, converged, iterations = _newton(design, y, w, RIDGE, pen, MAX_ITER, TOL)
 
-    norms = np.linalg.norm(theta_s / scale.reshape(-1, p), axis=-1)
+    norms = np.linalg.norm(theta_s / scale, axis=-1)
     separated = np.isfinite(norms) & (norms > SEPARATION_NORM)
     if separated.any():
         t2, c2, i2 = _newton(
-            design.take(separated), yf[separated], wf[separated],
+            design.take(separated), y[separated], w[separated],
             SEPARATION_RIDGE, pen[separated], MAX_ITER, TOL,
         )
         theta_s[separated] = t2
         converged[separated] = c2
         iterations[separated] = i2
 
-    theta_s = theta_s.reshape(batch_shape + (p,))
     theta = _destandardize(theta_s, scale, center, has_intercept, v0)
     # Guard: never return non-finite coefficients; fall back to zero.
     bad = ~np.isfinite(theta).all(axis=-1)
-    if np.any(bad):
-        theta = np.where(bad[..., None], 0.0, theta)
-        converged = converged.reshape(batch_shape) & ~bad
-        converged = converged.reshape(-1)
-    return (
-        theta,
-        converged.reshape(batch_shape),
-        iterations.reshape(batch_shape),
-    )
+    theta[bad] = 0.0
+    converged &= ~bad
+    return theta, converged, iterations
 

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 from radial import localfit
-from radial.errors import ParameterError
+from radial.errors import DimensionMismatch, ParameterError, RadialError
 from radial.localfit import (
     RIDGE,
     SEPARATION_NORM,
@@ -645,6 +645,18 @@ def fit_recording_refit(features, targets, weights):
     return out, (spy.call_args_list[1].args[1] if spy.call_count == 2 else None)
 
 
+def flat_batch(features, *arrays):
+    """A problem batch as the solver bodies take it: C-contiguous (B, n, p)
+    features, or ``RadialFeatures`` over (B, n) radii, and each of ``arrays``
+    as C-contiguous (B, n)."""
+    n = np.shape(features)[-2]
+    if isinstance(features, RadialFeatures):
+        features = RadialFeatures(features.radii.reshape(-1, n), features.basis)
+    else:
+        features = np.ascontiguousarray(features, dtype=np.float64).reshape(-1, n, np.shape(features)[-1])
+    return (features, *(np.ascontiguousarray(a, dtype=np.float64).reshape(-1, n) for a in arrays))
+
+
 def dense_sensitivity(features, weights):
     """Per problem, how far rounding can move the dense path's fit: the
     condition number of its weighted standardized design, times how much
@@ -846,7 +858,7 @@ class TestRadialWls:
         # The scaling read from power sums against _standardize's moments
         # of the expanded array. The dense moments lose about eps times how
         # much larger a column is than its spread.
-        features, _, weights = problem
+        features, weights = flat_batch(problem[0], problem[2])
         expanded = features.basis.expand(features.radii)
         got = localfit._radial_design(features, weights)[1]
         want = localfit._standardize(np.ascontiguousarray(expanded), weights)[1:]
@@ -962,10 +974,8 @@ def off_center_quadratics():
 def gram_route(features, targets, weights):
     """The flattened design of a problem batch, its targets and weights, and
     the Gram route's standardized coefficients and solved problems."""
-    n = np.shape(features)[-2]
-    y, w = (np.ascontiguousarray(a, dtype=np.float64) for a in (targets, weights))
+    features, y, w = flat_batch(features, targets, weights)
     design, _ = localfit._design(features, w)
-    y, w = y.reshape(-1, n), w.reshape(-1, n)
     return (design, y, w, *localfit._gram_solve(design, y, w))
 
 
@@ -1107,6 +1117,45 @@ class TestBlocks:
             theta, *flags = solve(features, radii, radii)
             assert theta.shape == batch_shape + (3,)
             assert all(f.shape == batch_shape for f in flags)
+
+    @pytest.mark.parametrize("solve", [fit_logistic, solve_wls])
+    @pytest.mark.parametrize("radial", [False, True])
+    def test_shapes_are_checked_at_the_entry_point(self, solve, radial):
+        def features(shape):
+            return RadialFeatures(np.ones(shape), RadialPoly(1)) if radial else np.ones(shape + (2,))
+
+        rng = np.random.default_rng(4)
+        y, w = rng.integers(0, 2, (2, 3, 6)).astype(float), rng.uniform(0.5, 1.5, (2, 3, 6))
+        for bad in (y.reshape(3, 2, 6), y.reshape(6, 6), y[..., :5], y[0]):
+            for args in ((bad, w), (y, bad)):
+                with pytest.raises(DimensionMismatch, match=r"\(2, 3, 6\)") as err:
+                    solve(features((2, 3, 6)), *args)
+                assert isinstance(err.value, RadialError)
+        with pytest.raises(DimensionMismatch, match=r"n >= 1"):
+            solve(features((2, 0)), np.ones((2, 0)), np.ones((2, 0)))
+        solve(features((2, 3, 6)), y, w)
+
+    @pytest.mark.parametrize("body", ["_fit_logistic", "_solve_wls"])
+    @pytest.mark.parametrize("radial", [False, True])
+    def test_bodies_get_flat_c_contiguous_blocks(self, body, radial):
+        rng = np.random.default_rng(6)
+        n = 7
+        radii = np.asfortranarray(rng.uniform(0.0, 2.0, (2, 3, n)))
+        basis = RadialPoly(2)
+        features = RadialFeatures(radii, basis) if radial else np.asfortranarray(basis.expand(radii))
+        targets = np.asfortranarray(rng.integers(0, 2, (2, 3, n)).astype(float))
+        weights = np.asfortranarray(rng.uniform(0.5, 1.5, (2, 3, n)))
+        # RadialFeatures hold their radii in C order already.
+        assert not any(a.flags.c_contiguous for a in (targets, weights) + (() if radial else (features,)))
+        solve = fit_logistic if body == "_fit_logistic" else solve_wls
+        with (mock.patch.object(localfit, "_BLOCK_POINTS", 4 * n),
+              mock.patch.object(localfit, body, side_effect=getattr(localfit, body)) as spy):
+            solve(features, targets, weights)
+        assert [len(c.args[1]) for c in spy.call_args_list] == [4, 2]
+        for X, y, w in (c.args for c in spy.call_args_list):
+            X = X.radii if radial else X
+            assert X.ndim == (2 if radial else 3) and X.flags.c_contiguous
+            assert y.ndim == w.ndim == 2 and y.flags.c_contiguous and w.flags.c_contiguous
 
 
 def test_feature_maps_reject_bad_params():
