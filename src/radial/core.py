@@ -1,10 +1,10 @@
 """Domain types, distance metrics, and query-relative neighbor ordering.
 
 Distances are computed in double precision by brute force, Euclidean ones
-by :func:`euclidean_distances` alone. Neighbor ordering is the order of a
-stable sort, so ties are broken by ascending original index and repeated
-calls are bit-identical; ``stable_argsort`` computes it exactly from
-numpy's faster default sort.
+by :func:`euclidean_distances` alone. :func:`sorted_rows` alone orders
+neighbors: each row of distances in the order of a stable sort, so ties
+are broken by ascending original index and repeated calls are
+bit-identical.
 
 :func:`read_csv` and :func:`write_csv` hold the CSV format of every table.
 """
@@ -156,12 +156,14 @@ def euclidean_distances(Q: np.ndarray, X: np.ndarray) -> np.ndarray:
     ``X`` (n, d): the squared differences summed over coordinates in order,
     then one square root. That is scipy's ``cdist`` bit for bit, and
     ``np.linalg.norm(X - q, axis=1)`` bit for bit for d <= 7 (past that,
-    numpy's pairwise sum rounds differently)."""
+    numpy's pairwise sum rounds differently). A distance past the largest
+    double is inf, without a warning."""
     sq = np.zeros((Q.shape[0], X.shape[0]))
-    for j in range(X.shape[1]):
-        diff = np.subtract.outer(Q[:, j], X[:, j])
-        diff *= diff
-        sq += diff
+    with np.errstate(over="ignore"):
+        for j in range(X.shape[1]):
+            diff = np.subtract.outer(Q[:, j], X[:, j])
+            diff *= diff
+            sq += diff
     return np.sqrt(sq, out=sq)
 
 
@@ -218,43 +220,25 @@ def get_metric(name: str) -> Metric:
         raise DomainError(f"unknown metric {name!r}; choose from {sorted(METRICS)}") from None
 
 
-def stable_argsort(values) -> np.ndarray:
-    """The permutation of numpy's stable argsort along the last axis, bit
-    for bit, at about the cost of its default (unstable) sort.
-
-    The default sort orders the values but not the ties among them; the
-    entries of each run of equal values (NaNs count as equal, as do -0.0
-    and 0.0) are then put in ascending index order, by one sort of those
-    entries alone keyed on (run, index). Values with few ties leave that
-    sort nearly empty.
-    """
-    values = np.asarray(values)
-    order = np.argsort(values, axis=-1)
-    n = values.shape[-1]
-    if n < 2:
-        return order
+def sorted_rows(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the (m, n) distances ``D`` in nondecreasing order: their
+    ``radii`` and each one's column ``order``, ties broken by ascending
+    column exactly as numpy's stable sort breaks them. A distance that is
+    not finite raises ``DomainError``."""
+    if not np.isfinite(D).all():
+        i, j = np.argwhere(~np.isfinite(D))[0]
+        raise DomainError(f"the distance from query {i} to point {j} is {float(D[i, j])!r}, not a finite number")
+    # numpy's default sort is faster than its stable one, and orders ties
+    # differently only in rows that have them, which are sorted again.
+    order = np.argsort(D, axis=-1)
     # One flat index: numpy's gather by a single index array is faster than
     # take_along_axis, or an index pair, on one long row and on many rows.
-    perm = order.reshape(-1, n)
-    ranked = values.reshape(-1)[perm + n * np.arange(len(perm))[:, None]]
-    tie = ranked[:, 1:] == ranked[:, :-1]
-    if ranked.dtype.kind == "f":
-        nan = np.isnan(ranked)
-        tie |= nan[:, 1:] & nan[:, :-1]
-    if not tie.any():
-        return order
-    # Flattened positions in a run of ties, and which run each is in: a run
-    # starts wherever a tied entry is not tied to the one before it.
-    in_run = np.zeros(ranked.shape, dtype=bool)
-    in_run[:, 1:] = tie
-    in_run[:, :-1] |= tie
-    starts = in_run.copy()
-    starts[:, 1:] &= ~tie
-    pos = np.flatnonzero(in_run)
-    run = np.cumsum(starts.ravel()[pos])
-    flat = order.reshape(-1)
-    flat[pos] = np.sort(run * n + flat[pos]) % n
-    return order
+    radii = D.reshape(-1)[order + D.shape[1] * np.arange(len(order))[:, None]]
+    tied = (radii[:, 1:] == radii[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(D[tied], axis=-1, kind="stable")
+        radii[tied] = np.take_along_axis(D[tied], order[tied], axis=-1)
+    return radii, order
 
 
 def profile(data: Dataset, metric: Metric, query) -> NeighborProfile:
@@ -264,9 +248,8 @@ def profile(data: Dataset, metric: Metric, query) -> NeighborProfile:
     on any dataset, are computed for all rows at once; any other metric is
     called once per row. A distance that is not finite, such as one that
     overflows, raises ``DomainError``. The rows are ordered by
-    ``stable_argsort``: ties in distance are broken by ascending original
-    index, exactly as a stable sort breaks them, so the result is
-    deterministic.
+    :func:`sorted_rows`: ties in distance are broken by ascending original
+    index, so the result is deterministic.
     """
     q = as_covariate(query)
     # A distance past the largest double overflows to inf, which is
@@ -283,12 +266,8 @@ def profile(data: Dataset, metric: Metric, query) -> NeighborProfile:
             dists = dtw_columns(q, *pad(rows))
         else:
             dists = np.array([metric(q, x) for x in data.covariates], dtype=np.float64)
-    if not np.isfinite(dists).all():
-        i = int(np.flatnonzero(~np.isfinite(dists))[0])
-        raise DomainError(f"the distance from the query to point {i} is {float(dists[i])!r}, "
-                          "not a finite number")
-    order = stable_argsort(dists)
-    return NeighborProfile._frozen(dists[order], data.labels[order], order)
+    radii, order = sorted_rows(dists[None, :])
+    return NeighborProfile._frozen(radii[0], data.labels[order[0]], order[0])
 
 
 def read_csv(path, name: str) -> list[tuple[int, list[str]]]:

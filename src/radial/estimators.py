@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import localfit
-from .core import Dataset, NeighborProfile, as_covariate, stable_argsort
-from .errors import DimensionMismatch, DomainError, EmptyWindowError, ParameterError
+from .core import Dataset, NeighborProfile, as_covariate, sorted_rows
+from .errors import DimensionMismatch, EmptyWindowError, ParameterError
 from .localfit import MultivariatePoly, RadialPoly
 
 
@@ -80,13 +80,9 @@ class ProfileBatch:
     @classmethod
     def by_distance(cls, D, labels, covariates=None, queries=None) -> "ProfileBatch":
         """The batch of the (m, n) distances ``D`` from m queries to n points
-        labeled ``labels``: each row ordered by ``stable_argsort``, so ties
-        go to the lower column, and ``index`` that column order."""
-        if not np.isfinite(D).all():
-            raise DomainError("a distance is not a finite number")
-        order = stable_argsort(D)
-        # An index pair gathers faster than take_along_axis, at every size.
-        radii = D[np.arange(len(order))[:, None], order]
+        labeled ``labels``: each row ordered by :func:`radial.core.sorted_rows`,
+        so ties go to the lower column, and ``index`` that column order."""
+        radii, order = sorted_rows(D)
         return cls(radii, np.asarray(labels, dtype=np.float64)[order], order, covariates, queries)
 
 

@@ -394,6 +394,8 @@ def _in_blocks(body, features, targets, weights):
     """``body`` over consecutive blocks of max(1, _BLOCK_POINTS // n) problems of the
     flattened batch, outputs concatenated into the batch shape: the one check and
     flattening of a call, whose blocks reach ``body`` C-contiguous."""
+    if len(np.shape(features)) < 2:
+        raise DimensionMismatch(f"expected features of shape (..., n, p); got {np.shape(features)}")
     *batch_shape, n, _ = np.shape(features)
     want, got = (*batch_shape, n), (np.shape(targets), np.shape(weights))
     if n < 1 or got != (want, want):

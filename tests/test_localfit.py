@@ -1133,6 +1133,10 @@ class TestBlocks:
                 assert isinstance(err.value, RadialError)
         with pytest.raises(DimensionMismatch, match=r"n >= 1"):
             solve(features((2, 0)), np.ones((2, 0)), np.ones((2, 0)))
+        # Dense features with no point axis or no feature axis.
+        for bad in (np.float64(2.0), np.ones(3)):
+            with pytest.raises(DimensionMismatch, match=r"\(\.\.\., n, p\); got \((3,)?\)"):
+                solve(bad, np.ones(3), np.ones(3))
         solve(features((2, 3, 6)), y, w)
 
     @pytest.mark.parametrize("body", ["_fit_logistic", "_solve_wls"])
